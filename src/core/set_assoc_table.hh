@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/spec.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
@@ -115,14 +114,6 @@ class SetAssocTable
 
     /** Stamp an entry most-recently-used. */
     void touch(Entry &e) { e.lru = ++_useCounter; }
-
-    /** Checkpoint the mutable state (speculative rollback). */
-    void
-    specCapture(SnapshotBuilder &b)
-    {
-        b(_entries);
-        b(_useCounter);
-    }
 
     /** Drop an entry (its slot becomes allocatable). */
     void invalidate(Entry &e) { e.valid = false; }

@@ -82,14 +82,6 @@ class SharerFilter
     /** Blocks currently tracked (valid entries). */
     std::size_t size() const { return _size; }
 
-    /** Checkpoint the mutable state (speculative rollback). */
-    void
-    specCapture(SnapshotBuilder &b)
-    {
-        _table.specCapture(b);
-        b(_size);
-    }
-
   private:
     struct Sharers
     {

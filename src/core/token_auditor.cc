@@ -79,57 +79,6 @@ TokenAuditor::onReceive(Addr addr, int tokens, bool owner)
 }
 
 void
-TokenAuditor::undoSend(Addr addr, int tokens, bool owner)
-{
-    if (!_enabled)
-        return;
-    auto lock = _mu.lock();
-    BlockInfo *b = find(addr);
-    if (b == nullptr)
-        panic("auditor: undoSend for untracked block %llx",
-              static_cast<unsigned long long>(addr));
-    b->inFlight -= tokens;
-    b->held += tokens;
-    if (owner) {
-        b->ownerInFlight -= 1;
-        b->ownerHeld += 1;
-    }
-    --_transfers;
-    checkLocked(addr);
-}
-
-void
-TokenAuditor::undoReceive(Addr addr, int tokens, bool owner)
-{
-    if (!_enabled)
-        return;
-    auto lock = _mu.lock();
-    BlockInfo *b = find(addr);
-    if (b == nullptr)
-        panic("auditor: undoReceive for untracked block %llx",
-              static_cast<unsigned long long>(addr));
-    b->held -= tokens;
-    b->inFlight += tokens;
-    if (owner) {
-        b->ownerHeld -= 1;
-        b->ownerInFlight += 1;
-    }
-    checkLocked(addr);
-}
-
-void
-TokenAuditor::undoInit(Addr addr)
-{
-    if (!_enabled)
-        return;
-    auto lock = _mu.lock();
-    const Addr blk = blockAlign(addr);
-    if (_blocks.erase(blk) != 1)
-        panic("auditor: undoInit for untracked block %llx",
-              static_cast<unsigned long long>(blk));
-}
-
-void
 TokenAuditor::checkLocked(Addr addr) const
 {
     if (!_enabled)

@@ -56,16 +56,6 @@ class TokenL1 : public TokenController, public L1CacheIF
     // Controller
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        TokenController::specCapture(b);
-        b(stats);
-        // _array journals touched lines incrementally (specBind).
-        b(_txns);
-        b(_ewmaMemLat);
-    }
-
     Stats stats;
 
     /** Outstanding-miss count (0 or 1 per processor in practice). */

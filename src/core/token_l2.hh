@@ -44,14 +44,6 @@ class TokenL2 : public TokenController
 
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        TokenController::specCapture(b);
-        b(stats);
-        // _array journals touched lines incrementally (specBind).
-    }
-
     Stats stats;
 
     /** Direct line inspection for tests. */

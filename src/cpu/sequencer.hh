@@ -110,18 +110,6 @@ class Sequencer
     /** Latency summary across completed operations. */
     const RunningStat &latencyStat() const { return _latency; }
 
-    /** Checkpoint all mutable state (speculative rollback). The
-     *  parked continuation is a copyable SmallFunction, so the
-     *  in-flight operation replays transparently. */
-    void
-    specCapture(SnapshotBuilder &b)
-    {
-        b(_busy);
-        b(_userCb);
-        b(_opsCompleted);
-        b(_latency);
-    }
-
   private:
     void issue(MemRequest req, bool to_icache, MemCallback cb);
     void complete(const MemResult &res);

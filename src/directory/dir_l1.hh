@@ -49,16 +49,6 @@ class DirL1 : public Controller, public L1CacheIF
     void cpuRequest(const MemRequest &req) override;
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        b(stats);
-        // _array journals touched lines incrementally (specBind).
-        b(_txns);
-        b(_wb);
-        b(_wbWaiters);
-    }
-
     Stats stats;
 
     /** Line state inspection for tests. */

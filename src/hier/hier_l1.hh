@@ -38,13 +38,6 @@ class HierL1 : public TokenL1
 
     void handleMsg(const Msg &msg) override;
 
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        TokenL1::specCapture(b);
-        b(hierStats);
-    }
-
     HierStats hierStats;
 
   protected:

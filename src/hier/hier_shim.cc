@@ -19,8 +19,7 @@ HierShim::ensureBlock(Addr addr)
 {
     const Addr blk = blockAlign(addr);
     auto it = _blocks.find(blk);
-    const bool created = it == _blocks.end();
-    if (created) {
+    if (it == _blocks.end()) {
         Blk b;
         // The CMP's private token space materializes here: all T
         // tokens (and the owner token) at the shim, but *no* data —
@@ -30,25 +29,6 @@ HierShim::ensureBlock(Addr addr)
         b.owner = true;
         it = _blocks.emplace(blk, b).first;
         g.auditor.initBlock(blk);
-        if (ctx.speculating()) {
-            ctx.spec.push(
-                [this, blk]() { g.auditor.undoInit(blk); });
-        }
-    }
-    // Incremental capture: journal the block once per capture epoch
-    // (every mutation funnels through ensureBlock).
-    if (ctx.speculating()) {
-        Blk &b = it->second;
-        if (b.specEpoch != ctx.specEpoch) {
-            b.specEpoch = ctx.specEpoch;
-            if (created) {
-                ctx.spec.push([this, blk]() { _blocks.erase(blk); });
-            } else {
-                ctx.spec.push([this, blk, copy = b]() {
-                    _blocks[blk] = copy;
-                });
-            }
-        }
     }
     return it->second;
 }

@@ -50,38 +50,6 @@ class BackingStore
         _mem[blockAlign(addr)] = v;
     }
 
-    /** What a block held before an exchange(), for speculative undo. */
-    struct Prior
-    {
-        std::uint64_t value = 0;
-        bool existed = false;
-    };
-
-    /** write() that reports the displaced state. Sound to undo
-     *  per-domain: each block has one home controller, so within a
-     *  speculative epoch only one domain writes it. */
-    Prior
-    exchange(Addr addr, std::uint64_t v)
-    {
-        auto lock = _mu.lock();
-        auto [it, fresh] = _mem.try_emplace(blockAlign(addr), v);
-        const Prior p{fresh ? 0 : it->second, !fresh};
-        it->second = v;
-        return p;
-    }
-
-    /** Inverse of exchange(): restore the displaced state, including
-     *  absence (keeps footprint() exact across rollbacks). */
-    void
-    unwrite(Addr addr, Prior p)
-    {
-        auto lock = _mu.lock();
-        if (p.existed)
-            _mem[blockAlign(addr)] = p.value;
-        else
-            _mem.erase(blockAlign(addr));
-    }
-
     /** Number of blocks ever written. */
     std::size_t
     footprint() const

@@ -14,9 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/spec.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
@@ -59,25 +57,6 @@ class CacheArray
     unsigned numSets() const { return _numSets; }
     unsigned assoc() const { return _assoc; }
 
-    /**
-     * Arm incremental speculative capture. While `eq->speculating()`,
-     * the first access to any line per capture epoch (`*epoch`, bumped
-     * by the checkpoint hook) pushes a copy-restore inverse onto
-     * `log`, so rollback cost is proportional to the lines *touched*
-     * in the aborted segments — never to the array's geometry. A
-     * full-array snapshot of a 2 MB L2 bank per checkpoint would dwarf
-     * the event work of a window; this journal is what makes
-     * optimistic mode profitable.
-     */
-    void
-    specBind(EventQueue *eq, SpecLog *log, const std::uint64_t *epoch)
-    {
-        _eq = eq;
-        _specLog = log;
-        _epoch = epoch;
-        _lineEpoch.assign(_lines.size(), 0);
-    }
-
     /** Find the valid line holding `addr`'s block, or nullptr. */
     Line *
     probe(Addr addr)
@@ -85,10 +64,8 @@ class CacheArray
         const Addr blk = blockAlign(addr);
         Line *set = setFor(blk);
         for (unsigned w = 0; w < _assoc; ++w) {
-            if (set[w].valid && set[w].tag == blk) {
-                maybeCapture(&set[w]);
+            if (set[w].valid && set[w].tag == blk)
                 return &set[w];
-            }
         }
         return nullptr;
     }
@@ -110,14 +87,11 @@ class CacheArray
         Line *set = setFor(blockAlign(addr));
         Line *lru = &set[0];
         for (unsigned w = 0; w < _assoc; ++w) {
-            if (!set[w].valid) {
-                maybeCapture(&set[w]);
+            if (!set[w].valid)
                 return &set[w];
-            }
             if (set[w].lruStamp < lru->lruStamp)
                 lru = &set[w];
         }
-        maybeCapture(lru);
         return lru;
     }
 
@@ -133,33 +107,23 @@ class CacheArray
         Line *set = setFor(blockAlign(addr));
         Line *best = nullptr;
         for (unsigned w = 0; w < _assoc; ++w) {
-            if (!set[w].valid) {
-                maybeCapture(&set[w]);
+            if (!set[w].valid)
                 return &set[w];
-            }
             if (ok(set[w]) &&
                 (best == nullptr || set[w].lruStamp < best->lruStamp)) {
                 best = &set[w];
             }
         }
-        if (best != nullptr)
-            maybeCapture(best);
         return best;
     }
 
     /** Mark a line most-recently-used. */
-    void
-    touch(Line *line)
-    {
-        maybeCapture(line);
-        line->lruStamp = ++_useCounter;
-    }
+    void touch(Line *line) { line->lruStamp = ++_useCounter; }
 
     /** Bind a (victim) line to a new block and mark it used. */
     void
     install(Line *line, Addr addr)
     {
-        maybeCapture(line);
         line->tag = blockAlign(addr);
         line->valid = true;
         line->st = StateT{};
@@ -170,7 +134,6 @@ class CacheArray
     void
     invalidate(Line *line)
     {
-        maybeCapture(line);
         line->valid = false;
         line->st = StateT{};
     }
@@ -205,49 +168,10 @@ class CacheArray
         return &_lines[set * _assoc];
     }
 
-    /**
-     * First touch of `line` in the current capture epoch while the
-     * domain's queue speculates: journal a copy of the line (and, once
-     * per epoch, the LRU counter). Every mutation path funnels through
-     * probe/victim/victimWhere/touch/install/invalidate, so the
-     * journal sees each dirtied line before its first write of the
-     * segment. Reads over-capture (a probed-but-unmodified line is
-     * journaled too) — sound, and cheap at one O(1) epoch check per
-     * access.
-     */
-    void
-    maybeCapture(Line *line)
-    {
-        if (_specLog == nullptr || !_eq->speculating())
-            return;
-        if (_ctrEpoch != *_epoch) {
-            _ctrEpoch = *_epoch;
-            _specLog->push(
-                [this, v = _useCounter]() { _useCounter = v; });
-        }
-        const std::size_t idx =
-            static_cast<std::size_t>(line - _lines.data());
-        if (_lineEpoch[idx] == *_epoch)
-            return;
-        _lineEpoch[idx] = *_epoch;
-        _specLog->push([this, idx, copy = *line]() {
-            _lines[idx] = copy;
-            // Reset the stamp so a replayed segment re-captures.
-            _lineEpoch[idx] = 0;
-        });
-    }
-
     unsigned _assoc;
     std::size_t _numSets;
     std::uint64_t _useCounter = 0;
     std::vector<Line> _lines;
-
-    // Incremental speculative capture (see specBind).
-    EventQueue *_eq = nullptr;
-    SpecLog *_specLog = nullptr;
-    const std::uint64_t *_epoch = nullptr;
-    std::vector<std::uint64_t> _lineEpoch;
-    std::uint64_t _ctrEpoch = 0;
 };
 
 } // namespace tokencmp

@@ -12,7 +12,6 @@
 #include "net/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
-#include "sim/spec.hh"
 
 namespace tokencmp {
 
@@ -28,28 +27,7 @@ struct SimContext
     Random rng;
     Network *net = nullptr;  //!< owned by the System that builds it
 
-    /** Undo log for *shared* state this domain mutates while its
-     *  queue speculates (auditor ledgers, backing store, global
-     *  atomics) — snapshots cannot restore those, other domains touch
-     *  them concurrently. Mutation sites push inverses only while
-     *  `eventq.speculating()`. */
-    SpecLog spec;
-
-    /**
-     * Capture epoch for incremental (touched-entry) speculative
-     * journals: bumped by the kernel's checkpoint hook before every
-     * segment, never reused, and >= 1 whenever speculation is live.
-     * Structures like CacheArray stamp entries with the epoch of
-     * their last capture so each is journaled at most once per
-     * segment.
-     */
-    std::uint64_t specEpoch = 0;
-
     Tick now() const { return eventq.curTick(); }
-
-    /** True while executing inside a speculative checkpoint segment
-     *  (mutations of shared state must log their inverse). */
-    bool speculating() const { return eventq.speculating(); }
 };
 
 /**
@@ -67,14 +45,6 @@ class Controller
 
     /** Deliver one message (called by the network at arrival time). */
     virtual void handleMsg(const Msg &msg) = 0;
-
-    /**
-     * Checkpoint every mutable member into `b` (speculative sharded
-     * runs). A controller that misses a member produces committed
-     * state that differs from the conservative run — caught by the
-     * abort-injection fuzz battery's bit-identity check.
-     */
-    virtual void specCapture(SnapshotBuilder &b) { (void)b; }
 
     const MachineID &id() const { return _id; }
 

@@ -6,7 +6,6 @@
 
 #include "net/controller.hh"
 #include "sim/logging.hh"
-#include "sim/spec.hh"
 
 namespace tokencmp {
 
@@ -136,7 +135,6 @@ Network::shard(const std::vector<EventQueue *> &queues,
     _dom = std::vector<DomainState>(_eqs.size());
     _mail = std::vector<FlipMailbox<Handoff>>(_eqs.size() *
                                               _eqs.size());
-    _staging.resize(_eqs.size() * _eqs.size());
     // Split every directed inter-CMP link — and every CMP's memory
     // ingress link — into one virtual channel per source domain, so
     // co-located domains never share occupancy and every path is
@@ -307,15 +305,8 @@ Network::send(Msg msg, Tick sender_delay)
     ++_dom[sd].totalMsgs;
 
     if (sd != dd) {
-        // The canonical delivery key: replays after a rollback reuse
-        // the same (domain, sendSeq) because sendSeq is part of the
-        // domain's checkpoint snapshot.
+        // The canonical delivery key: (source domain, send sequence).
         const Handoff h{msg, t, handoffKey(sd, _dom[sd].sendSeq++)};
-        if (_kernel != nullptr && _kernel->speculativeWindow()) {
-            _staging[sd * numDomains() + dd].push_back(
-                StagedHandoff{_eqs[sd]->specCheckpoints(), h});
-            return;
-        }
         _mailboxed.fetch_add(1, std::memory_order_relaxed);
         _handoffsTotal.fetch_add(1, std::memory_order_relaxed);
         mailbox(sd, dd).push(h, t);
@@ -398,7 +389,7 @@ Network::deliverKeyed(const Handoff &h, unsigned domain)
     DomainState &ds = _dom[domain];
     ++ds.inFlight;
     // Handoffs never batch and never open a batch slot: their band-1
-    // key pins their place in the committed order, and a later local
+    // key pins their place in the delivery order, and a later local
     // send must not append behind that key.
     DeliverEvent *b = ds.pool.acquire();
     b->_net = this;
@@ -407,75 +398,6 @@ Network::deliverKeyed(const Handoff &h, unsigned domain)
     b->_domIdx = domain;
     b->append(h.msg, ds.arena);
     _eqs[domain]->scheduleKeyed(b, h.tick, h.key);
-}
-
-void
-Network::collectStaged(std::vector<ShardedKernel::StagedEntry> &out)
-{
-    const unsigned n = numDomains();
-    for (unsigned s = 0; s < n; ++s) {
-        for (unsigned d = 0; d < n; ++d) {
-            for (const StagedHandoff &sh : _staging[s * n + d])
-                out.push_back({s, d, sh.seg, sh.h.tick, sh.h.key});
-        }
-    }
-}
-
-void
-Network::commitFlip(const std::vector<unsigned> &keep,
-                    std::vector<Tick> &earliest)
-{
-    const unsigned n = numDomains();
-    for (unsigned s = 0; s < n; ++s) {
-        for (unsigned d = 0; d < n; ++d) {
-            std::vector<StagedHandoff> &st = _staging[s * n + d];
-            for (const StagedHandoff &sh : st) {
-                // Aborted segments' sends vanish here; their senders
-                // roll back and re-send with identical keys.
-                if (sh.seg > keep[s])
-                    continue;
-                _mailboxed.fetch_add(1, std::memory_order_relaxed);
-                _handoffsTotal.fetch_add(1, std::memory_order_relaxed);
-                mailbox(s, d).push(sh.h, sh.h.tick);
-            }
-            st.clear();
-        }
-    }
-    flipMailboxes(earliest);
-}
-
-void
-Network::specCapture(unsigned domain, SnapshotBuilder &b)
-{
-    DomainState &ds = _dom[domain];
-    b(ds.inFlight);
-    b(ds.totalMsgs);
-    b(ds.wakeups);
-    b(ds.batched);
-    b(ds.sendSeq);
-    b(ds.bytes);
-
-    // Every link occupancy this domain owns: its controllers' source
-    // ports, its virtual channels on the inter-CMP and memory-ingress
-    // links, and — for CMPs whose memory controller it hosts — the
-    // chip gateway and memory egress link.
-    for (unsigned i = 0; i < _ctrlDomain.size(); ++i) {
-        if (_ctrlDomain[i] == domain) {
-            b(_intraPorts[i]);
-            // The open-batch slot may point at an event the rollback
-            // recycles; clearing it just forgoes one batching join.
-            b.onRestore([this, i]() { _open[i] = nullptr; });
-        }
-    }
-    for (unsigned c = 0; c < _topo.numCmps; ++c) {
-        if (_ctrlDomain[_topo.globalIndex(_topo.mem(c))] == domain) {
-            b(_intraGateways[c]);
-            b(_memEgress[c]);
-        }
-        b(memIngressLink(c, domain));
-        for (unsigned dc = 0; dc < _topo.numCmps; ++dc)
-            b(interLink(c, dc, domain));
-    }
 }
 
 Network::LinkOccupancy

@@ -37,9 +37,7 @@
  * handed to the destination domain through a per-(src, dst)
  * FlipMailbox. The destination drains its inboxes at the window
  * boundary and schedules each handoff unbatched at its key, so the
- * committed delivery order is independent of worker count — the
- * property the optimistic kernel's commit/rollback arbitration is
- * built on.
+ * delivery order is independent of worker count.
  *
  * Because a sub-CMP map places several domains on one chip, each
  * directed inter-CMP link splits into *per-source-domain virtual
@@ -82,7 +80,6 @@ namespace tokencmp {
 
 class Controller;
 class Network;
-class SnapshotBuilder;
 
 /** Link latencies and bandwidths (paper Table 3 defaults). */
 struct NetworkParams
@@ -133,15 +130,6 @@ class DeliverEvent final : public Event
 
     void process() override;
     void release() override;
-
-    /** Speculation journal word: the batch size, which process()
-     *  zeroes. Restoring it makes a rolled-back delivery re-invocable
-     *  with the same messages (the spill block is kept). */
-    std::uint64_t specSave() override { return _count; }
-    void specRestore(std::uint64_t v) override
-    {
-        _count = std::uint32_t(v);
-    }
 
   private:
     friend class Network;
@@ -230,41 +218,10 @@ class Network
     /**
      * Drain `domain`'s flipped inboxes in canonical (source domain,
      * send order) sequence: each handoff is enqueued unbatched at its
-     * band-1 key, so the committed delivery order is a pure function
+     * band-1 key, so the delivery order is a pure function
      * of the execution — never of worker count or barrier timing.
      */
     void intakeMailboxes(unsigned domain);
-
-    // -- Speculation support (ShardedKernel optimistic mode) ---------
-
-    /**
-     * Let send() observe the kernel's window mode: while the kernel
-     * reports a speculative window, cross-domain sends are staged
-     * (tagged with the sender's current checkpoint segment) instead of
-     * mailboxed, and released — or dropped with their segment — at the
-     * commit barrier.
-     */
-    void attachKernel(const ShardedKernel *k) { _kernel = k; }
-
-    /** Report every staged send to the kernel's commit arbitration. */
-    void collectStaged(std::vector<ShardedKernel::StagedEntry> &out);
-
-    /**
-     * Commit barrier: push every staged handoff whose segment survived
-     * (seg <= keep[src]) into its mailbox in staging order, drop the
-     * rest (their senders are about to roll back and re-send), then
-     * flip all mailboxes.
-     */
-    void commitFlip(const std::vector<unsigned> &keep,
-                    std::vector<Tick> &earliest);
-
-    /**
-     * Checkpoint one domain's slice of the network into `b`: its
-     * DomainState counters and send sequence, every link occupancy it
-     * owns, and its controllers' open-batch slots (cleared on restore
-     * — the events they point at may be recycled by the rollback).
-     */
-    void specCapture(unsigned domain, SnapshotBuilder &b);
 
     /**
      * Send a message after `sender_delay` ticks of local processing
@@ -342,14 +299,6 @@ class Network
         Msg msg;
         Tick tick = 0;
         std::uint64_t key = 0;
-    };
-
-    /** A cross-domain send held back by a speculative window, tagged
-     *  with the checkpoint segment that produced it. */
-    struct StagedHandoff
-    {
-        unsigned seg = 0;
-        Handoff h;
     };
 
     /** Mutable delivery state owned by exactly one domain. */
@@ -491,13 +440,6 @@ class Network
     std::vector<unsigned> _ctrlDomain;  //!< controller -> domain
     std::vector<Tick> _lookahead;       //!< numDomains^2 (src, dst)
     unsigned _numVC = 1;  //!< virtual channels per inter-CMP link
-
-    /** Cross-domain sends held back by a speculative window, per
-     *  (src, dst) channel like _mail; drained at the commit barrier. */
-    std::vector<std::vector<StagedHandoff>> _staging;
-
-    /** Kernel whose window mode gates staging (optimistic runs). */
-    const ShardedKernel *_kernel = nullptr;
 
     /** Handoffs pushed but not yet enqueued at a destination; relaxed
      *  increments/decrements from domain workers, read at barriers. */

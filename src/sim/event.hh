@@ -55,18 +55,6 @@ class Event
      */
     virtual void release() {}
 
-    /**
-     * Speculation hook: one opaque word the queue saves before a
-     * speculative process() and hands back through specRestore() if
-     * that execution rolls back. Override when process() consumes
-     * state that a replay needs again (e.g. a delivery batch's count);
-     * events whose process() is re-invocable as-is keep the default.
-     */
-    virtual std::uint64_t specSave() { return 0; }
-
-    /** Undo what process() consumed, for a speculative replay. */
-    virtual void specRestore(std::uint64_t) {}
-
     /** Scheduled tick (valid while scheduled). */
     Tick when() const { return _when; }
 
@@ -84,7 +72,6 @@ class Event
     std::uint64_t _seq = 0;
     Event *_next = nullptr;  //!< bucket chain / free-list link
     bool _sched = false;
-    bool _held = false;      //!< release deferred by a speculation journal
 };
 
 /** Pool internals' access to the intrusive link field. */

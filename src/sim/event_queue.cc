@@ -70,8 +70,6 @@ EventQueue::scheduleEvent(Event *e, Tick when)
     e->_sched = true;
     ++_pending;
     insertScheduled(e);
-    if (_spec) [[unlikely]]
-        _journal.push_back({e, e->_when, e->_seq, 0, false});
 }
 
 void
@@ -89,8 +87,6 @@ EventQueue::scheduleKeyed(Event *e, Tick when, std::uint64_t key)
     e->_sched = true;
     ++_pending;
     insertScheduled(e);
-    if (_spec) [[unlikely]]
-        _journal.push_back({e, when, key, 0, false});
 }
 
 void
@@ -139,8 +135,8 @@ EventQueue::runqInsert(Event *e)
     // Splice by full (when, seq) key. For ordinary insertions the seq
     // is the freshest counter value, so this lands after every
     // equal-tick entry just like a when-only search; band-1 handoff
-    // keys and rollback re-insertions carry keys that may sort between
-    // staged events, and the full compare places them canonically.
+    // keys may sort between staged events, and the full compare
+    // places them canonically.
     auto it = std::upper_bound(
         _runq.begin() + std::ptrdiff_t(_runqHead), _runq.end(), e,
         [](const Event *a, const Event *b) {
@@ -322,157 +318,6 @@ EventQueue::refill()
     }
 }
 
-void
-EventQueue::removeScheduled(Event *e)
-{
-    // Rollback-only path: cost is linear in the containing structure,
-    // which is fine for the rare abort. The run-queue window first.
-    for (std::size_t i = _runqHead; i < _runq.size(); ++i) {
-        if (_runq[i] == e) {
-            _runq.erase(_runq.begin() + std::ptrdiff_t(i));
-            if (_runqHead == _runq.size()) {
-                _runq.clear();
-                _runqHead = 0;
-            }
-            return;
-        }
-    }
-    // Wheel chains: the slot index at each level is an absolute
-    // function of the tick, so each level has exactly one candidate
-    // chain regardless of how _pos moved since insertion.
-    if (_kind == SchedulerKind::TimingWheel) {
-        for (unsigned l = 0; l < numLevels; ++l) {
-            const unsigned shift = levelShift(l);
-            const auto idx = static_cast<unsigned>(
-                (e->_when >> shift) & (numSlots - 1));
-            Chain &c = _wheel[l][idx];
-            Event *prev = nullptr;
-            for (Event *x = c.head; x != nullptr;
-                 prev = x, x = x->_next) {
-                if (x != e)
-                    continue;
-                if (prev == nullptr)
-                    c.head = x->_next;
-                else
-                    prev->_next = x->_next;
-                if (c.tail == x)
-                    c.tail = prev;
-                x->_next = nullptr;
-                if (c.head == nullptr)
-                    _occ[l][idx >> 6] &=
-                        ~(std::uint64_t(1) << (idx & 63));
-                return;
-            }
-        }
-    }
-    for (std::size_t i = 0; i < _far.size(); ++i) {
-        if (_far[i] == e) {
-            _far[i] = _far.back();
-            _far.pop_back();
-            std::make_heap(_far.begin(), _far.end(), FarLater{});
-            return;
-        }
-    }
-    panic("removeScheduled: event not found (when=%llu seq=%llx)",
-          static_cast<unsigned long long>(e->_when),
-          static_cast<unsigned long long>(e->_seq));
-}
-
-unsigned
-EventQueue::specCheckpoint()
-{
-    _spec = true;
-    _ckpts.push_back({_journal.size(), _heldRelease.size(), _curTick,
-                      _executed, _lastExecSeq});
-    return unsigned(_ckpts.size() - 1);
-}
-
-void
-EventQueue::specRollback(unsigned keep)
-{
-    if (keep >= _ckpts.size())
-        panic("specRollback(%u) with %zu checkpoints",
-              keep, _ckpts.size());
-    const SpecCkpt ck = _ckpts[keep];
-
-    // Walk the journal backward to the checkpoint's watermark, undoing
-    // newest-first so each event is restored through its own history in
-    // reverse (EXEC entries re-insert at the original key; SCHED
-    // entries unschedule). An event can appear in several entries; the
-    // backward order guarantees its state is consistent at each step.
-    std::vector<Event *> maybeRelease;
-    while (_journal.size() > ck.mark) {
-        const SpecEntry j = _journal.back();
-        _journal.pop_back();
-        Event *e = j.e;
-        if (j.exec) {
-            // Undo an execution. Any re-schedule process() performed
-            // sits above this entry and was already undone, so the
-            // event must be unscheduled here.
-            if (e->_sched)
-                panic("spec EXEC undo: event still scheduled");
-            e->specRestore(j.saved);
-            e->_held = false;
-            e->_when = j.when;
-            e->_seq = j.seq;
-            e->_next = nullptr;
-            e->_sched = true;
-            ++_pending;
-            insertScheduled(e);
-        } else {
-            // Undo a schedule performed during the rolled-back span.
-            // If the event executed afterwards, its EXEC undo above
-            // just re-inserted it under exactly this key.
-            if (!e->_sched || e->_when != j.when || e->_seq != j.seq)
-                panic("spec SCHED undo: journal out of sync");
-            removeScheduled(e);
-            e->_sched = false;
-            e->_next = nullptr;
-            --_pending;
-            maybeRelease.push_back(e);
-        }
-    }
-
-    // Held-release entries above the checkpoint's watermark belong to
-    // executions just undone — those events are back in the queue (and
-    // their _held flag is cleared).
-    _heldRelease.resize(ck.heldMark);
-
-    // Events whose speculative schedules were undone and which are not
-    // otherwise alive get released: not currently scheduled, and not
-    // held by a surviving (pre-checkpoint) execution entry.
-    std::sort(maybeRelease.begin(), maybeRelease.end());
-    maybeRelease.erase(
-        std::unique(maybeRelease.begin(), maybeRelease.end()),
-        maybeRelease.end());
-    for (Event *e : maybeRelease) {
-        if (!e->_sched && !e->_held)
-            e->release();
-    }
-
-    _curTick = ck.curTick;
-    _executed = ck.executed;
-    _lastExecSeq = ck.lastExecSeq;
-    _ckpts.resize(keep);
-    // _nextSeq and _pos are deliberately not rewound: band-0 seqs only
-    // need relative order, and re-insertions below _pos were spliced
-    // into the run queue by insertScheduled().
-}
-
-void
-EventQueue::specCommit()
-{
-    for (Event *e : _heldRelease) {
-        e->_held = false;
-        if (!e->_sched)
-            e->release();
-    }
-    _heldRelease.clear();
-    _journal.clear();
-    _ckpts.clear();
-    _spec = false;
-}
-
 bool
 EventQueue::run(Tick horizon)
 {
@@ -502,19 +347,6 @@ EventQueue::runUntil(const std::function<bool()> &done, Tick horizon)
 void
 EventQueue::releaseAll()
 {
-    // A queue torn down mid-speculation still owes deferred releases
-    // for executed events; drop the journal (nothing to roll back to)
-    // and let held events recycle alongside the pending sweep below.
-    for (Event *e : _heldRelease) {
-        e->_held = false;
-        if (!e->_sched)
-            e->release();
-    }
-    _heldRelease.clear();
-    _journal.clear();
-    _ckpts.clear();
-    _spec = false;
-
     auto releaseOne = [this](Event *e) {
         e->_sched = false;
         e->_next = nullptr;
@@ -549,8 +381,6 @@ EventQueue::releaseAll()
 void
 EventQueue::releaseAll(const std::function<bool(const Event &)> &mine)
 {
-    if (_spec)
-        panic("releaseAll(predicate) during speculation");
     auto releaseOne = [this](Event *e) {
         e->_sched = false;
         e->_next = nullptr;
@@ -614,7 +444,6 @@ EventQueue::reset()
     _curTick = 0;
     _nextSeq = 0;
     _executed = 0;
-    _lastExecSeq = 0;
     _pos = 0;
 }
 

@@ -61,28 +61,6 @@ ShardedKernel::ShardedKernel(std::vector<EventQueue *> queues,
     _bounds.assign(n, 0);
     _pending.assign(n, EventQueue::noTick);
     _frontier.assign(n, EventQueue::noTick);
-    _specBounds.assign(n, 0);
-    _ckptMeta.resize(n);
-    _ckptFrontier.resize(n);
-    _endKey.assign(n, ExecKey{});
-    _keep.assign(n, 0);
-    _rollbackTo.assign(n, -1);
-}
-
-void
-ShardedKernel::setSpeculation(const SpecParams &p)
-{
-    if (p.optimistic) {
-        if (p.checkpointInterval == 0)
-            panic("speculation: checkpoint interval must be >= 1 tick");
-        if (p.maxCheckpoints == 0)
-            panic("speculation: need at least one checkpoint segment");
-        if (!(p.abortEwmaAlpha > 0.0 && p.abortEwmaAlpha <= 1.0))
-            panic("speculation: abort EWMA alpha must be in (0, 1]");
-        if (!(p.abortRateThreshold > 0.0 && p.abortRateThreshold <= 1.0))
-            panic("speculation: abort-rate threshold must be in (0, 1]");
-    }
-    _params = p;
 }
 
 void
@@ -124,212 +102,35 @@ ShardedKernel::executed() const
 }
 
 void
-ShardedKernel::validateStaged()
-{
-    // Contention management, run single-threaded at the barrier after
-    // a speculative window. _keep[s] starts at the number of segments
-    // shard s executed (everything survives) and only ever decreases;
-    // a staged message from a surviving context (seg <= keep[src])
-    // that lands at or below the receiver's executed frontier forces
-    // the receiver back to the last checkpoint taken strictly before
-    // the message's key. Sweeping to a fixpoint over the canonically
-    // sorted staged set is deterministic for any worker count: every
-    // input is a function of the per-shard executions, which the
-    // window bounds make worker-invariant. Lowering keep[src] may
-    // invalidate messages whose constraints were already applied —
-    // that only over-rolls-back (sound, costs re-execution), it can
-    // never commit an event the conservative kernel would order
-    // differently.
-    const unsigned n = numShards();
-    unsigned aborted = 0;
-
-    _staged.clear();
-    if (_hooks.collectStaged)
-        _hooks.collectStaged(_staged);
-    std::sort(_staged.begin(), _staged.end(),
-              [](const StagedEntry &a, const StagedEntry &b) {
-                  if (a.when != b.when) return a.when < b.when;
-                  if (a.key != b.key) return a.key < b.key;
-                  if (a.src != b.src) return a.src < b.src;
-                  return a.dst < b.dst;
-              });
-
-    for (unsigned s = 0; s < n; ++s) {
-        _keep[s] = unsigned(_ckptMeta[s].size());
-        if (_injector)
-            _keep[s] = std::min(_keep[s],
-                                _injector(s, _keep[s], _windows));
-    }
-
-    // Cache each queue's end-of-window frontier: F(s) below for a
-    // fully-kept shard. Stable across fixpoint iterations.
-    std::vector<Tick> qf(n), low(n);
-    for (unsigned s = 0; s < n; ++s)
-        qf[s] = _queues[s]->frontier();
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const StagedEntry &e : _staged) {
-            if (e.seg > _keep[e.src])
-                continue;  // sender context rolled back: never sent
-            const auto &meta = _ckptMeta[e.dst];
-            if (meta.empty())
-                continue;  // receiver never speculated this window
-            const ExecKey k{e.when, e.key};
-            if (_endKey[e.dst] < k)
-                continue;  // lands in the receiver's future: no abort
-            // Roll the receiver back to the last checkpoint whose
-            // committed frontier precedes the message. meta[0] always
-            // does: the conservative prefix ends at or below the
-            // receiver's window bound, and every staged arrival lies
-            // strictly above it.
-            unsigned best = 0;
-            for (unsigned i = 1; i < meta.size() && meta[i] < k; ++i)
-                best = i;
-            if (best < _keep[e.dst]) {
-                _keep[e.dst] = best;
-                changed = true;
-            }
-        }
-
-        // Commit bound (a per-window GVT): a shard may only commit up
-        // to the earliest tick any post-arbitration execution could
-        // still send into it — the staged sweep above only sees
-        // messages that *were* sent, not ones a rolled-back shard's
-        // replay (or a kept shard's still-unexecuted events) will send
-        // next window. F(s) is shard s's post-arbitration frontier:
-        // its rollback target's recorded frontier if it aborts, its
-        // end-of-window frontier otherwise, lowered by surviving
-        // in-flight staged messages it is about to intake. The
-        // triangle inequality on the closure guarantees this bound is
-        // never below the previous conservative bound, so keep = 0
-        // (the conservative prefix) always satisfies it. Lowering keep
-        // here lowers F, which can cascade — hence inside the fixpoint.
-        for (unsigned s = 0; s < n; ++s) {
-            low[s] = _keep[s] < _ckptMeta[s].size()
-                ? _ckptFrontier[s][_keep[s]] : qf[s];
-        }
-        for (const StagedEntry &e : _staged) {
-            if (e.seg <= _keep[e.src])
-                low[e.dst] = std::min(low[e.dst], e.when);
-        }
-        for (unsigned d = 0; d < n; ++d) {
-            Tick bound = EventQueue::noTick;
-            for (unsigned s = 0; s < n; ++s) {
-                if (low[s] == EventQueue::noTick)
-                    continue;
-                const Tick la = _dist[s * n + d];
-                if (la == EventQueue::noTick ||
-                    low[s] > EventQueue::noTick - la)
-                    continue;
-                bound = std::min(bound, low[s] + la - 1);
-            }
-            while (_keep[d] > 0) {
-                const unsigned k = _keep[d];
-                const Tick committed = k < _ckptMeta[d].size()
-                    ? _ckptMeta[d][k].when : _endKey[d].when;
-                if (committed <= bound)
-                    break;
-                --_keep[d];
-                changed = true;
-            }
-        }
-    }
-
-    for (unsigned s = 0; s < n; ++s) {
-        const unsigned segs = unsigned(_ckptMeta[s].size());
-        _commits += _keep[s];
-        if (_keep[s] < segs) {
-            _rollbackTo[s] = int(_keep[s]);
-            ++_aborts;
-            ++aborted;
-        }
-    }
-
-    const double rate = n == 0 ? 0.0 : double(aborted) / double(n);
-    _ewma = _params.abortEwmaAlpha * rate +
-            (1.0 - _params.abortEwmaAlpha) * _ewma;
-}
-
-void
 ShardedKernel::coordinate()
 {
     // All workers are parked in the barrier: single-threaded section.
     const unsigned n = numShards();
     std::fill(_pending.begin(), _pending.end(), EventQueue::noTick);
-
-    bool anyRollback = false;
-    if (_specWindow) {
-        // The window that just ran was speculative: arbitrate, then
-        // let the model flip staged messages from surviving segments
-        // (receivers of discarded ones will see them re-sent by the
-        // sender's replay, under the same band-1 keys — per-domain
-        // send sequences are part of the model snapshot).
-        validateStaged();
-        if (_hooks.commitFlip)
-            _hooks.commitFlip(_keep, _pending);
-        for (unsigned s = 0; s < n; ++s)
-            anyRollback = anyRollback || _rollbackTo[s] >= 0;
-    } else {
-        if (_hooks.onBarrier)
-            _hooks.onBarrier(_pending);
-        if (_params.optimistic && _fallback) {
-            // Conservative fallback round: decay the abort EWMA so a
-            // calmed workload deterministically re-enables speculation.
-            _ewma *= 1.0 - _params.abortEwmaAlpha;
-        }
-    }
-    if (_params.optimistic) {
-        if (!_fallback && _ewma > _params.abortRateThreshold)
-            _fallback = true;
-        else if (_fallback && _ewma < _params.abortRateThreshold / 2.0)
-            _fallback = false;
-    }
+    if (_hooks.onBarrier)
+        _hooks.onBarrier(_pending);
 
     // Effective frontier of a shard: the earliest tick it could still
     // act at — its queue frontier or a flipped handoff it will enqueue
-    // at intake, whichever is earlier. A shard about to roll back is
-    // bounded below by its target checkpoint's clock (its queue still
-    // reflects the discarded speculation, which may sit too late).
+    // at intake, whichever is earlier.
     Tick f = EventQueue::noTick;
     for (unsigned s = 0; s < n; ++s) {
-        const Tick qf = _rollbackTo[s] >= 0
-            ? _ckptFrontier[s][unsigned(_rollbackTo[s])]
-            : _queues[s]->frontier();
-        _frontier[s] = std::min(qf, _pending[s]);
+        _frontier[s] = std::min(_queues[s]->frontier(), _pending[s]);
         f = std::min(f, _frontier[s]);
     }
 
-    // Run outcomes are only evaluated on rollback-free barriers: a
-    // pending rollback means some executed state is about to be
-    // discarded, so neither the frontiers nor the model's stop
-    // condition are committed facts yet.
-    if (!anyRollback) {
-        if (_hooks.stopRequested && _hooks.stopRequested()) {
-            _outcome = Outcome::Stopped;
-            _stop = true;
-        } else if (f == EventQueue::noTick) {
-            _outcome = Outcome::Drained;
-            _stop = true;
-        } else if (f > _horizon) {
-            _outcome = Outcome::Horizon;
-            _stop = true;
-        }
-        if (_stop) {
-            // Every speculative segment is validated (the window just
-            // checked had no rollbacks), so finalize the commits here,
-            // with all workers parked, before run() returns.
-            for (unsigned s = 0; s < n; ++s) {
-                if (_queues[s]->speculating()) {
-                    _queues[s]->specCommit();
-                    if (_hooks.commitShard)
-                        _hooks.commitShard(s);
-                }
-            }
-            return;
-        }
+    if (_hooks.stopRequested && _hooks.stopRequested()) {
+        _outcome = Outcome::Stopped;
+        _stop = true;
+    } else if (f == EventQueue::noTick) {
+        _outcome = Outcome::Drained;
+        _stop = true;
+    } else if (f > _horizon) {
+        _outcome = Outcome::Horizon;
+        _stop = true;
     }
+    if (_stop)
+        return;
 
     // Jump straight to the frontier: window bounds derive from shard
     // frontiers plus the lookahead matrix, so idle stretches are never
@@ -357,75 +158,15 @@ ShardedKernel::coordinate()
         _bounds[d] = b;
     }
 
-    // Decide the next window's shape. Speculative bounds extend the
-    // conservative bound by the full segment budget, capped at the
-    // horizon so no event beyond run()'s contract ever executes —
-    // not even speculatively.
-    _specWindow = _params.optimistic && !_fallback;
-    if (_specWindow) {
-        const Tick budget =
-            _params.checkpointInterval * Tick(_params.maxCheckpoints);
-        for (unsigned d = 0; d < n; ++d) {
-            Tick sb = _bounds[d] > EventQueue::noTick - budget
-                ? EventQueue::noTick : _bounds[d] + budget;
-            _specBounds[d] = std::min(sb, _horizon);
-        }
-    }
     ++_windows;
 }
 
 void
 ShardedKernel::runShardWindow(unsigned s)
 {
-    EventQueue *q = _queues[s];
-    if (_params.optimistic) {
-        // Apply the rollback the coordinator ordered, then commit
-        // whatever survived arbitration (segments below the kept
-        // checkpoint — or all of them when there was no rollback).
-        if (_rollbackTo[s] >= 0) {
-            const auto keep = unsigned(_rollbackTo[s]);
-            q->specRollback(keep);
-            if (_hooks.rollback)
-                _hooks.rollback(s, keep);
-            _rollbackTo[s] = -1;
-        }
-        if (q->speculating()) {
-            q->specCommit();
-            if (_hooks.commitShard)
-                _hooks.commitShard(s);
-        }
-    }
     if (_hooks.intake)
         _hooks.intake(s);
-
-    // Conservative prefix: bit-for-bit the plain kernel's window. It
-    // runs unjournaled — every cross-shard message still in flight
-    // arrives strictly above the bound, so nothing here can abort.
-    q->run(_bounds[s]);
-
-    if (!_specWindow)
-        return;
-
-    // Speculative segments: checkpoint, then run one interval past
-    // the current frontier (not past the last bound — idle gaps are
-    // jumped, exactly like window bounds derive from frontiers).
-    _ckptMeta[s].clear();
-    _ckptFrontier[s].clear();
-    while (_ckptMeta[s].size() < _params.maxCheckpoints) {
-        const Tick f = q->frontier();
-        if (f == EventQueue::noTick || f > _specBounds[s])
-            break;
-        _ckptMeta[s].push_back(q->lastExecuted());
-        _ckptFrontier[s].push_back(f);
-        q->specCheckpoint();
-        if (_hooks.checkpoint)
-            _hooks.checkpoint(s);
-        const Tick end =
-            _specBounds[s] - f < _params.checkpointInterval - 1
-            ? _specBounds[s] : f + _params.checkpointInterval - 1;
-        q->run(end);
-    }
-    _endKey[s] = q->lastExecuted();
+    _queues[s]->run(_bounds[s]);
 }
 
 ShardedKernel::Outcome
@@ -436,8 +177,6 @@ ShardedKernel::run(Tick horizon)
     _horizon = horizon;
     _stop = false;
     _outcome = Outcome::Drained;
-    _specWindow = false;
-    std::fill(_rollbackTo.begin(), _rollbackTo.end(), -1);
 
     struct Completion
     {

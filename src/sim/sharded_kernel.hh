@@ -141,27 +141,6 @@ class FlipMailbox
 };
 
 /**
- * Speculation parameters for the optimistic kernel mode.
- *
- * In optimistic mode each shard runs past its conservative window
- * bound in journaled *segments* of `checkpointInterval` ticks (at most
- * `maxCheckpoints` per window), with cross-shard sends held in a
- * staging buffer. The barrier validates staged messages against the
- * receivers' speculated pasts, commits surviving segments, and rolls
- * back the rest. An EWMA of the per-window aborted-shard fraction
- * drives a deterministic fallback to conservative windows when
- * speculation thrashes (resuming below half the threshold).
- */
-struct SpecParams
-{
-    bool optimistic = false;       //!< run speculative segments
-    Tick checkpointInterval = 500'000;  //!< segment length (ticks)
-    unsigned maxCheckpoints = 8;   //!< segments per window
-    double abortEwmaAlpha = 0.25;  //!< EWMA smoothing in (0, 1]
-    double abortRateThreshold = 0.5;  //!< fallback above this, (0, 1]
-};
-
-/**
  * Lock-step window executor over per-shard EventQueues.
  *
  * The kernel does not know what a "message" is; model code supplies
@@ -178,25 +157,6 @@ struct SpecParams
  *  - stopRequested: polled at each barrier; when it returns true the
  *    run stops with Outcome::Stopped (used by the System's
  *    finish-counter completion check, O(1) per window).
- *
- * Optimistic mode adds five more (see SpecParams and run()'s
- * speculative window shape):
- *
- *  - checkpoint(shard): snapshot the shard's model state; called right
- *    after the queue's specCheckpoint(), before the segment runs.
- *  - rollback(shard, keep): restore the shard's model state to
- *    checkpoint `keep` (the queue was already rolled back).
- *  - commitShard(shard): discard the shard's surviving snapshots and
- *    undo logs; the speculation just validated is now committed.
- *  - collectStaged(out): report every cross-shard message staged
- *    during the window that just ran (at minimum, the lowest
- *    (tick, key) per (src, seg, dst) — that entry carries the binding
- *    constraint). During a speculative window *all* sends must be
- *    staged, conservative-prefix sends tagged seg = 0.
- *  - commitFlip(keep, earliest): move staged messages from surviving
- *    segments (seg <= keep[src]) into the real mailboxes, discard the
- *    rest (their senders are rolling back and will re-send on replay),
- *    then flip like onBarrier, lowering `earliest`.
  */
 class ShardedKernel
 {
@@ -208,36 +168,11 @@ class ShardedKernel
         Horizon,  //!< the global frontier moved past the horizon
     };
 
-    /**
-     * One staged cross-shard message, as reported by collectStaged.
-     * `seg` is the sender's EventQueue::specCheckpoints() at send time
-     * (0 = conservative prefix, k+1 = speculative segment k); the
-     * message survives iff seg <= keep[src]. (tick, key) is the
-     * arrival ExecKey — key must be the band-1 handoff key the message
-     * will be enqueued under at the destination.
-     */
-    struct StagedEntry
-    {
-        unsigned src;
-        unsigned dst;
-        unsigned seg;
-        Tick when;
-        std::uint64_t key;
-    };
-
     struct Hooks
     {
         std::function<void(std::vector<Tick> &earliest)> onBarrier;
         std::function<void(unsigned shard)> intake;
         std::function<bool()> stopRequested;
-
-        // Optimistic mode only.
-        std::function<void(unsigned shard)> checkpoint;
-        std::function<void(unsigned shard, unsigned keep)> rollback;
-        std::function<void(unsigned shard)> commitShard;
-        std::function<void(std::vector<StagedEntry> &out)> collectStaged;
-        std::function<void(const std::vector<unsigned> &keep,
-                           std::vector<Tick> &earliest)> commitFlip;
     };
 
     /**
@@ -265,28 +200,6 @@ class ShardedKernel
     ShardedKernel &operator=(const ShardedKernel &) = delete;
 
     void setHooks(Hooks hooks) { _hooks = std::move(hooks); }
-
-    /** Enable/configure speculation (validated; panics on nonsense). */
-    void setSpeculation(const SpecParams &p);
-
-    /** Active speculation parameters. */
-    const SpecParams &speculation() const { return _params; }
-
-    /**
-     * Test-only deterministic abort injector: called once per shard at
-     * every speculative barrier with (shard, segments executed, window
-     * round); the returned value caps that shard's surviving segments
-     * (>= segments means no forced abort). Injected aborts flow
-     * through the ordinary rollback/commit machinery, which is how the
-     * fuzz battery proves rollback leaves no trace.
-     */
-    void
-    setAbortInjector(
-        std::function<unsigned(unsigned shard, unsigned segs,
-                               std::uint64_t round)> inj)
-    {
-        _injector = std::move(inj);
-    }
 
     /** Replace just the stop condition (e.g. for a drain phase). */
     void
@@ -324,21 +237,6 @@ class ShardedKernel
     /** Window rounds executed across all run() calls. */
     std::uint64_t windows() const { return _windows; }
 
-    /**
-     * True while the current window is speculative. Model send paths
-     * consult this to route *every* cross-shard message of such a
-     * window (conservative-prefix sends included, tagged seg 0)
-     * through the staging buffer, where arbitration can see it.
-     * Stable between barriers; the barrier orders the write.
-     */
-    bool speculativeWindow() const { return _specWindow; }
-
-    /** Shard rollbacks across all run() calls (optimistic mode). */
-    std::uint64_t aborts() const { return _aborts; }
-
-    /** Committed speculative segments across all run() calls. */
-    std::uint64_t commits() const { return _commits; }
-
     /** Events executed across all shards. */
     std::uint64_t executed() const;
 
@@ -350,7 +248,6 @@ class ShardedKernel
 
     void closeLookahead();  //!< build _dist from _la
     void coordinate();      //!< barrier completion step
-    void validateStaged();  //!< abort fixpoint over staged messages
     void runShardWindow(unsigned s);  //!< one shard's window (worker)
 
     std::vector<EventQueue *> _queues;
@@ -368,33 +265,6 @@ class ShardedKernel
     bool _stop = false;
     Outcome _outcome = Outcome::Drained;
     std::uint64_t _windows = 0;
-
-    // -- Optimistic mode ----------------------------------------------
-
-    SpecParams _params;
-    std::function<unsigned(unsigned, unsigned, std::uint64_t)> _injector;
-
-    /** True while the window the workers are (about to be) running is
-     *  speculative; coordinate() reads it to know whether the window
-     *  that just finished needs validation. */
-    bool _specWindow = false;
-    bool _fallback = false;  //!< EWMA tripped: conservative rounds
-    double _ewma = 0.0;
-
-    std::vector<Tick> _specBounds;  //!< per-shard speculative bound
-    /** Per shard: lastExecuted() right before each checkpoint; entry k
-     *  is the committed frontier if the shard keeps k segments. */
-    std::vector<std::vector<ExecKey>> _ckptMeta;
-    /** Per shard: the queue frontier right before each checkpoint —
-     *  the exact post-rollback frontier if the shard keeps that many
-     *  segments, used by the barrier's commit-bound computation. */
-    std::vector<std::vector<Tick>> _ckptFrontier;
-    std::vector<ExecKey> _endKey;   //!< lastExecuted() at window end
-    std::vector<unsigned> _keep;    //!< fixpoint: surviving segments
-    std::vector<int> _rollbackTo;   //!< pending rollback (-1 = none)
-    std::vector<StagedEntry> _staged;  //!< collectStaged scratch
-    std::uint64_t _aborts = 0;
-    std::uint64_t _commits = 0;
 };
 
 /** Printable outcome name. */

@@ -432,8 +432,8 @@ SweepDriver::mergedReport() const
                                      "interBytesPerMiss",
                                      "intraBytesPerMiss"};
     static const char *kAxes[] = {"byPolicy", "byWorkload",
-                                  "byShardMap", "bySpeculation",
-                                  "byOverride", "byPolicyWorkload"};
+                                  "byShardMap", "byOverride",
+                                  "byPolicyWorkload"};
     std::map<std::string, std::map<std::string, Table>> marg;
 
     std::string cells_out;
@@ -450,8 +450,6 @@ SweepDriver::mergedReport() const
                      ", \"policy\": " + json::quote(cell.policy) +
                      ", \"workload\": " + json::quote(cell.workload) +
                      ", \"shardMap\": " + json::quote(cell.shardMap) +
-                     ", \"speculation\": " +
-                     json::quote(cell.speculation) +
                      ", \"override\": " +
                      json::quote(cell.overrideLabel) + ", \"seed\": " +
                      std::to_string(cell.seed) + ", \"result\": " +
@@ -518,7 +516,6 @@ SweepDriver::mergedReport() const
             add("byPolicy", cell.policy);
             add("byWorkload", cell.workload);
             add("byShardMap", cell.shardMap);
-            add("bySpeculation", cell.speculation);
             add("byOverride", cell.overrideLabel);
             add("byPolicyWorkload",
                 cell.policy + "|" + cell.workload);
@@ -538,8 +535,6 @@ SweepDriver::mergedReport() const
     axes_out += joinQuoted(_grid.policies()) + "], \"workloads\": [" +
                 joinQuoted(_grid.workloads()) +
                 "], \"shardMaps\": [" + joinQuoted(_grid.shardMaps()) +
-                "], \"speculation\": [" +
-                joinQuoted(_grid.speculationModes()) +
                 "], \"overrides\": [";
     {
         std::string out;

@@ -61,16 +61,6 @@ shardMapKindName(ShardMapKind k)
     return "?";
 }
 
-const char *
-speculationModeName(SpeculationMode m)
-{
-    switch (m) {
-      case SpeculationMode::Off: return "off";
-      case SpeculationMode::Optimistic: return "optimistic";
-    }
-    return "?";
-}
-
 unsigned
 ShardMap::numDomains(const Topology &topo) const
 {
@@ -182,7 +172,6 @@ SystemConfig::finalize()
     if (finalized())
         return;
     _finalized = true;
-    _finalizedSpec = speculation;
     _finalizedFor = protocol;
     _finalizedPolicy = policyName;
     _finalizedWorkload = workloadName;
@@ -203,28 +192,6 @@ SystemConfig::finalize()
     if (token.bwBusyUtil < 0.0 || token.bwBusyUtil > 1.0) {
         fatal("bw-adapt busy-utilization threshold %f out of range "
               "[0, 1]", token.bwBusyUtil);
-    }
-
-    if (speculation == SpeculationMode::Optimistic) {
-        // The knobs gate rollback correctness, so nonsense is fatal
-        // here rather than surfacing as a hung or diverging run.
-        if (shards == 0) {
-            fatal("speculation=optimistic requires the sharded kernel "
-                  "(shards >= 1; shards is 0)");
-        }
-        if (spec.checkpointInterval == 0)
-            fatal("speculative checkpoint interval must be >= 1 tick");
-        if (spec.maxCheckpoints == 0)
-            fatal("speculation needs at least one checkpoint segment "
-                  "per window (maxCheckpoints is 0)");
-        if (!(spec.abortRateThreshold > 0.0 &&
-              spec.abortRateThreshold <= 1.0)) {
-            fatal("abort-rate fallback threshold %f outside (0, 1]",
-                  spec.abortRateThreshold);
-        }
-        if (!(spec.abortEwmaAlpha > 0.0 && spec.abortEwmaAlpha <= 1.0))
-            fatal("abort EWMA alpha %f outside (0, 1]",
-                  spec.abortEwmaAlpha);
     }
 
     if (!workloadName.empty())

@@ -66,23 +66,6 @@ enum class ShardMapKind : unsigned char {
 /** Printable shard-map name. */
 const char *shardMapKindName(ShardMapKind k);
 
-/**
- * Execution discipline of the sharded kernel. Off runs the classic
- * conservative lookahead windows; Optimistic lets each shard domain
- * run past the window bound in journaled checkpoint segments, with
- * cross-shard sends staged until the barrier commits or rolls back
- * (see SpecParams in sim/sharded_kernel.hh). Both disciplines produce
- * bit-identical results for a fixed (seed, shardMap) — speculation is
- * a throughput lever, never an accuracy knob.
- */
-enum class SpeculationMode : unsigned char {
-    Off,
-    Optimistic,
-};
-
-/** Printable speculation-mode name. */
-const char *speculationModeName(SpeculationMode m);
-
 /** Shard-domain assignment for the sharded kernel. */
 struct ShardMap
 {
@@ -166,19 +149,6 @@ struct SystemConfig
     ShardMap shardMap{};
 
     /**
-     * Kernel execution discipline when `shards > 0` (rejected by
-     * finalize() otherwise). Optimistic mode runs each domain ahead
-     * of the conservative bound under the journaled rollback
-     * machinery; `spec` tunes segment length, segment count and the
-     * abort-rate fallback.
-     */
-    SpeculationMode speculation = SpeculationMode::Off;
-
-    /** Checkpoint/fallback knobs for `speculation == Optimistic`
-     *  (the `optimistic` flag inside is derived, not read). */
-    SpecParams spec{};
-
-    /**
      * Keep the caller's hand-set token policy instead of the Table 1
      * preset implied by `protocol` (for ablations sweeping individual
      * policy knobs).
@@ -234,13 +204,11 @@ struct SystemConfig
     {
         return _finalized && _finalizedFor == protocol &&
                _finalizedPolicy == policyName &&
-               _finalizedWorkload == workloadName &&
-               _finalizedSpec == speculation;
+               _finalizedWorkload == workloadName;
     }
 
   private:
     bool _finalized = false;
-    SpeculationMode _finalizedSpec = SpeculationMode::Off;
     Protocol _finalizedFor = Protocol::TokenDst1;
     std::string _finalizedPolicy;
     std::string _finalizedWorkload;

@@ -22,7 +22,7 @@ struct SystemConfig;
 
 /** One sweepable SystemConfig knob. All knobs are numeric (doubles
  *  carry the integral ones exactly up to 2^53, far beyond any table
- *  geometry or checkpoint interval). */
+ *  geometry). */
 struct KnobDef
 {
     const char *name;  //!< dotted path, e.g. "token.cmpPredEntries"

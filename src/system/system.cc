@@ -99,11 +99,6 @@ System::harvest(StatSet &out) const
     // worker counts — the ShardSweep bit-identity tests cover it like
     // any other stat.
     out.add("kernel.windows", double(_shardedWindows));
-    // Speculation health (0 under SpeculationMode::Off). Mode
-    // comparisons must exclude kernel.* — these measure the engine,
-    // not the machine.
-    out.add("kernel.aborts", double(_shardedAborts));
-    out.add("kernel.commits", double(_shardedCommits));
 
     _proto->harvest(out);
 }
@@ -132,86 +127,11 @@ System::runSharded(unsigned num_threads, Tick horizon)
                    num_threads;
         };
     }
-    if (_cfg.speculation == SpeculationMode::Optimistic) {
-        // Model-side speculation hooks. The kernel owns the event
-        // queues' journals; these snapshot/restore everything else a
-        // domain mutates: its network-port and controller state, its
-        // sequencers and workload threads, its RNG, plus the
-        // shared-state undo log (auditor ledgers, backing store,
-        // cross-domain atomics) that snapshots cannot cover.
-        _spec.clear();
-        _spec.resize(_ctxs.size());
-        hooks.checkpoint = [this](unsigned d) {
-            DomainSpec &st = _spec[d];
-            // New capture epoch: incremental journals (cache arrays,
-            // mem-side maps) re-capture each entry on first touch of
-            // the segment about to run. Monotone and >= 1 while
-            // speculation is live.
-            ++_ctxs[d]->specEpoch;
-            st.marks.push_back(_ctxs[d]->spec.mark());
-            auto b = std::make_unique<SnapshotBuilder>();
-            captureDomain(d, *b);
-            st.builders.push_back(std::move(b));
-        };
-        hooks.rollback = [this](unsigned d, unsigned keep) {
-            DomainSpec &st = _spec[d];
-            // Snapshots are full copies, so restoring the one taken
-            // right before segment `keep` ran rewinds all of them.
-            st.builders.at(keep)->restoreAll();
-            st.builders.resize(keep);
-            _ctxs[d]->spec.rollbackTo(st.marks.at(keep));
-            st.marks.resize(keep);
-        };
-        hooks.commitShard = [this](unsigned d) {
-            DomainSpec &st = _spec[d];
-            st.builders.clear();
-            st.marks.clear();
-            _ctxs[d]->spec.clear();
-        };
-        hooks.collectStaged =
-            [this](std::vector<ShardedKernel::StagedEntry> &out) {
-                _net->collectStaged(out);
-            };
-        hooks.commitFlip = [this](const std::vector<unsigned> &keep,
-                                  std::vector<Tick> &earliest) {
-            _net->commitFlip(keep, earliest);
-        };
-        SpecParams p = _cfg.spec;
-        p.optimistic = true;
-        kernel.setSpeculation(p);
-        if (_abortInjector)
-            kernel.setAbortInjector(_abortInjector);
-        // The network stages cross-domain sends while (and only
-        // while) the attached kernel is inside a speculative window.
-        _net->attachKernel(&kernel);
-    }
     kernel.setHooks(std::move(hooks));
     const bool stopped =
         kernel.run(horizon) == ShardedKernel::Outcome::Stopped;
-    _net->attachKernel(nullptr);
     _shardedWindows += kernel.windows();
-    _shardedAborts += kernel.aborts();
-    _shardedCommits += kernel.commits();
     return stopped;
-}
-
-void
-System::captureDomain(unsigned d, SnapshotBuilder &b)
-{
-    SimContext &ctx = *_ctxs[d];
-    b(ctx.rng);
-    _net->specCapture(d, b);
-    for (const auto &c : _controllers) {
-        if (_domainOf[_cfg.topo.globalIndex(c->id())] == d)
-            c->specCapture(b);
-    }
-    for (unsigned p = 0; p < _cfg.topo.numProcs(); ++p) {
-        if (&contextForProc(p) != &ctx)
-            continue;
-        _sequencers[p]->specCapture(b);
-        if (p < _liveThreads.size() && _liveThreads[p] != nullptr)
-            _liveThreads[p]->specCapture(b);
-    }
 }
 
 bool
@@ -220,10 +140,8 @@ System::runThreads(std::vector<std::unique_ptr<ThreadContext>> &threads,
 {
     const unsigned n = unsigned(threads.size());
     _finished.store(0, std::memory_order_relaxed);
-    _liveThreads.assign(n, nullptr);
     for (unsigned p = 0; p < n; ++p) {
         ThreadContext *raw = threads[p].get();
-        _liveThreads[p] = raw;
         raw->notifyOnFinish(&_finished);
         contextForProc(p).eventq.schedule(0, [raw]() { raw->start(); });
     }

@@ -21,7 +21,6 @@
 #define TOKENCMP_SYSTEM_SYSTEM_HH
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -173,21 +172,6 @@ class System
      */
     std::uint64_t shardedWindows() const { return _shardedWindows; }
 
-    /**
-     * Test-only deterministic abort injector, forwarded to the
-     * sharded kernel of every speculative phase of run() (see
-     * ShardedKernel::setAbortInjector). The fuzz battery uses this to
-     * force rollbacks at chosen (shard, round) points and prove they
-     * leave no trace in the final statistics.
-     */
-    void
-    setAbortInjector(
-        std::function<unsigned(unsigned shard, unsigned segs,
-                               std::uint64_t round)> inj)
-    {
-        _abortInjector = std::move(inj);
-    }
-
     TokenGlobals *tokenGlobals() { return _proto->tokenGlobals(); }
 
     /** Run the family's quiescence audit (token conservation per
@@ -226,10 +210,6 @@ class System
   private:
     void harvest(StatSet &out) const;
 
-    /** Register every piece of mutable model state owned by shard
-     *  domain `d` with a checkpoint snapshot. */
-    void captureDomain(unsigned d, SnapshotBuilder &b);
-
     /**
      * Window-barrier loop for sharded runs. With `num_threads > 0`
      * it runs until all threads finish (returns true) or the horizon
@@ -255,29 +235,6 @@ class System
     std::atomic<std::uint32_t> _finished{0};
 
     std::uint64_t _shardedWindows = 0;  //!< see shardedWindows()
-    std::uint64_t _shardedAborts = 0;   //!< rolled-back segments
-    std::uint64_t _shardedCommits = 0;  //!< committed spec segments
-
-    /**
-     * Per-domain speculation scratch: one model-state snapshot and one
-     * shared-state undo-log watermark per live checkpoint segment.
-     * Builder k / mark k hold the state right before segment k ran, so
-     * rollback-to-keep is builders[keep]->restoreAll() plus
-     * spec.rollbackTo(marks[keep]).
-     */
-    struct DomainSpec
-    {
-        std::vector<std::unique_ptr<SnapshotBuilder>> builders;
-        std::vector<std::size_t> marks;
-    };
-    std::vector<DomainSpec> _spec;
-
-    /** makeThread results of the phase currently running (checkpoint
-     *  hooks snapshot per-thread workload state through these). */
-    std::vector<ThreadContext *> _liveThreads;
-
-    std::function<unsigned(unsigned, unsigned, std::uint64_t)>
-        _abortInjector;
 
     std::vector<std::unique_ptr<Controller>> _controllers;
     std::vector<std::unique_ptr<Sequencer>> _sequencers;

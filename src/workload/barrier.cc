@@ -106,20 +106,10 @@ class BarrierThread : public ThreadContext
     {
         _sense = !_sense;
         ++_phase;
-        _wl.notePhase(_ctx, procId(), _phase);
+        _wl.notePhase(procId(), _phase);
         work();
     }
 
-  public:
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        ThreadContext::specCapture(b);
-        b(_phase);
-        b(_sense);
-    }
-
-  private:
     BarrierWorkload &_wl;
     unsigned _numProcs;
     unsigned _phase = 0;
@@ -137,15 +127,12 @@ BarrierWorkload::makeThread(SimContext &ctx, Sequencer &seq,
 }
 
 void
-BarrierWorkload::notePhase(SimContext &ctx, unsigned proc,
-                           unsigned phase)
+BarrierWorkload::notePhase(unsigned proc, unsigned phase)
 {
     // Threads on concurrent shard domains report through this hook.
     std::lock_guard<std::mutex> guard(_mu);
-    const unsigned old_size = unsigned(_phaseOf.size());
     if (_phaseOf.size() <= proc)
         _phaseOf.resize(proc + 1, 0);
-    const unsigned old_phase = _phaseOf[proc];
     _phaseOf[proc] = phase;
     unsigned lo = phase, hi = phase;
     for (unsigned p : _phaseOf) {
@@ -153,22 +140,8 @@ BarrierWorkload::notePhase(SimContext &ctx, unsigned proc,
         hi = std::max(hi, p);
     }
     // Sense-reversing barriers permit at most one phase of skew.
-    const bool bumped = hi > lo + 1;
-    if (bumped)
+    if (hi > lo + 1)
         ++_violations;
-    if (ctx.speculating()) {
-        // The checker ledger is shared across domains; a rolled-back
-        // report must restore its own slot (single-writer: only this
-        // proc's thread writes it) and take back its violation bump.
-        ctx.spec.push([this, proc, old_phase, old_size, bumped]() {
-            std::lock_guard<std::mutex> guard(_mu);
-            _phaseOf[proc] = old_phase;
-            if (old_size <= proc && _phaseOf.size() == proc + 1)
-                _phaseOf.resize(old_size);
-            if (bumped)
-                --_violations;
-        });
-    }
 }
 
 } // namespace tokencmp

@@ -58,9 +58,8 @@ class BarrierWorkload : public Workload
     Addr countAddr() const { return _p.base + 4 * blockBytes; }
     Addr flagAddr() const { return _p.base + 8 * blockBytes; }
 
-    /** Phase-skew checker hook; `ctx` is the reporting thread's
-     *  domain context (speculative calls log an inverse there). */
-    void notePhase(SimContext &ctx, unsigned proc, unsigned phase);
+    /** Phase-skew checker hook. */
+    void notePhase(unsigned proc, unsigned phase);
 
     const BarrierParams &params() const { return _p; }
 

@@ -70,15 +70,6 @@ class OltpThread : public ThreadContext
     }
 
     const OltpWorkload &_wl;
-  public:
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        ThreadContext::specCapture(b);
-        b(_done);
-    }
-
-  private:
     unsigned _txns;
     bool _readOnly;
     unsigned _done = 0;

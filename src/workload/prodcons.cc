@@ -64,15 +64,6 @@ class ProducerThread : public ThreadContext
         });
     }
 
-  public:
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        ThreadContext::specCapture(b);
-        b(_produced);
-    }
-
-  private:
     ProdConsWorkload &_wl;
     unsigned _pair;
     std::uint64_t _produced = 0;
@@ -124,7 +115,7 @@ class ConsumerThread : public ThreadContext
     {
         const unsigned slot = _consumed % _wl.params().queueSlots;
         load(_wl.slotAddr(_pair, slot), [this](std::uint64_t item) {
-            _wl.noteConsumed(_ctx, _consumed + 1, item);
+            _wl.noteConsumed(_consumed + 1, item);
             ++_consumed;
             store(_wl.headAddr(_pair), _consumed, [this]() {
                 const Tick mean = _wl.params().thinkMean;
@@ -134,15 +125,6 @@ class ConsumerThread : public ThreadContext
         });
     }
 
-  public:
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        ThreadContext::specCapture(b);
-        b(_consumed);
-    }
-
-  private:
     ProdConsWorkload &_wl;
     unsigned _pair;
     std::uint64_t _consumed = 0;
@@ -238,7 +220,7 @@ ProdConsWorkload::makeThread(SimContext &ctx, Sequencer &seq,
 }
 
 void
-ProdConsWorkload::noteConsumed(SimContext &ctx, std::uint64_t expected,
+ProdConsWorkload::noteConsumed(std::uint64_t expected,
                                std::uint64_t value)
 {
     // Consumers on concurrent shard domains report through this hook;
@@ -246,17 +228,8 @@ ProdConsWorkload::noteConsumed(SimContext &ctx, std::uint64_t expected,
     // number) never depends on interleaving, only the counters do.
     std::lock_guard<std::mutex> guard(_mu);
     ++_totalConsumed;
-    const bool bumped = value != expected;
-    if (bumped)
+    if (value != expected)
         ++_violations;
-    if (ctx.speculating()) {
-        ctx.spec.push([this, bumped]() {
-            std::lock_guard<std::mutex> guard(_mu);
-            --_totalConsumed;
-            if (bumped)
-                --_violations;
-        });
-    }
 }
 
 std::unique_ptr<ThreadContext>

@@ -147,15 +147,6 @@ class SyntheticThread : public ThreadContext
         }
     }
 
-  public:
-    void
-    specCapture(SnapshotBuilder &b) override
-    {
-        ThreadContext::specCapture(b);
-        b(_done);
-    }
-
-  private:
     const SyntheticParams &_p;
     unsigned _done = 0;
 };

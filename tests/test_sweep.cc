@@ -133,7 +133,7 @@ TEST(Knobs, StableHashMatchesFnv1aTestVectors)
 
 TEST(Knobs, TableLookupAndRoundTrip)
 {
-    EXPECT_GE(knobTable().size(), 9u);
+    EXPECT_GE(knobTable().size(), 5u);
     EXPECT_EQ(findKnob("no.such.knob"), nullptr);
 
     const KnobDef *k = findKnob("token.cmpPredEntries");
@@ -141,7 +141,7 @@ TEST(Knobs, TableLookupAndRoundTrip)
     SystemConfig cfg;
     k->set(cfg, 64);
     EXPECT_EQ(k->get(cfg), 64.0);
-    EXPECT_NE(knobNameList().find("spec.checkpointInterval"),
+    EXPECT_NE(knobNameList().find("token.bwBusyUtil"),
               std::string::npos);
 }
 
@@ -170,15 +170,15 @@ TEST(ParamGrid, GoldenFingerprintAndCellHashes)
     // platforms, compilers and refactors. Any change here is a
     // breaking change for existing journals — bump deliberately.
     ParamGrid g = ParamGrid::fromJsonText(kTinyGrid, "tiny-test");
-    EXPECT_EQ(g.fingerprint(), "f55c333dfe6e59f8");
+    EXPECT_EQ(g.fingerprint(), "25457d69951bd8f5");
     ASSERT_EQ(g.cells().size(), 4u);
-    EXPECT_EQ(g.cells()[0].hash, "bc45359c2ffe26cc");
-    EXPECT_EQ(g.cells()[0].label, "dst1/zipf/serial/off/default/s1");
-    EXPECT_EQ(g.cells()[1].hash, "a9b5854c92a490f9");
-    EXPECT_EQ(g.cells()[2].hash, "ec57451e6d0f68b1");
-    EXPECT_EQ(g.cells()[3].hash, "6c0da95e2927d418");
+    EXPECT_EQ(g.cells()[0].hash, "b14cf5219698e816");
+    EXPECT_EQ(g.cells()[0].label, "dst1/zipf/serial/default/s1");
+    EXPECT_EQ(g.cells()[1].hash, "b60a5fd3fc2b68fb");
+    EXPECT_EQ(g.cells()[2].hash, "05d6f506cc21f803");
+    EXPECT_EQ(g.cells()[3].hash, "95b2727b3347986a");
 
-    EXPECT_EQ(g.cellByHash("bc45359c2ffe26cc"), &g.cells()[0]);
+    EXPECT_EQ(g.cellByHash("b14cf5219698e816"), &g.cells()[0]);
     EXPECT_EQ(g.cellByHash("0000000000000000"), nullptr);
 }
 
@@ -224,22 +224,17 @@ TEST(ParamGrid, CellHashesExcludeWorkerCount)
 
 TEST(ParamGrid, SkipsInvalidAxisCombinations)
 {
-    // serial x optimistic and perfect x sharded are structurally
-    // impossible; crossing mixed axes must skip them, not die.
+    // perfect x sharded is structurally impossible; crossing mixed
+    // axes must skip it, not die.
     ParamGrid g = ParamGrid::fromJsonText(
         R"({"name": "mix", "policies": ["dst1", "perfect"],
             "workloads": ["zipf"],
             "shardMaps": ["serial", "perCmp"],
-            "speculation": ["off", "optimistic"],
             "workloadKnobs": {"opsPerProc": 30, "keys": 32}})",
         "mix");
-    // dst1: serial/off, perCmp/off, perCmp/optimistic = 3.
-    // perfect: serial/off only = 1.
-    EXPECT_EQ(g.cells().size(), 4u);
+    // dst1: serial, perCmp = 2. perfect: serial only = 1.
+    EXPECT_EQ(g.cells().size(), 3u);
     for (const SweepCell &c : g.cells()) {
-        EXPECT_FALSE(c.shardMap == "serial" &&
-                     c.speculation == "optimistic")
-            << c.label;
         EXPECT_FALSE(c.policy == "perfect" && c.shardMap != "serial")
             << c.label;
     }
@@ -249,7 +244,7 @@ TEST(ParamGrid, ConfigForAppliesAxes)
 {
     ParamGrid g = ParamGrid::fromJsonText(kTinyGrid, "cfg-test");
     const SweepCell *smallpred =
-        g.cellByHash("a9b5854c92a490f9");  // dst1 x smallpred
+        g.cellByHash("b60a5fd3fc2b68fb");  // dst1 x smallpred
     ASSERT_NE(smallpred, nullptr);
     SystemConfig cfg = g.configFor(*smallpred);
     EXPECT_EQ(cfg.protocol, Protocol::TokenDst1);
@@ -261,7 +256,7 @@ TEST(ParamGrid, ConfigForAppliesAxes)
     EXPECT_EQ(cfg.workloadParams.opsPerProc, 60u);
 
     const SweepCell *dir =
-        g.cellByHash("ec57451e6d0f68b1");  // directory x default
+        g.cellByHash("05d6f506cc21f803");  // directory x default
     ASSERT_NE(dir, nullptr);
     EXPECT_EQ(g.configFor(*dir).protocol, Protocol::DirectoryCMP);
 }
@@ -392,7 +387,7 @@ TEST(SweepDriver, ToleratesTruncatedFinalJournalLine)
     // Simulate a kill -9 mid-append: a torn, unparseable last line.
     std::FILE *f = std::fopen(fx.journal.c_str(), "a");
     ASSERT_NE(f, nullptr);
-    std::fputs("{\"type\": \"cell\", \"hash\": \"ec57451e", f);
+    std::fputs("{\"type\": \"cell\", \"hash\": \"05d6f506", f);
     std::fclose(f);
 
     SweepDriver d(grid, fx.opts());
@@ -431,9 +426,9 @@ TEST(SweepDriver, OverriddenCellsGetDistinctProtocolLabels)
     // must produce distinct result labels (protocol "@<hash>").
     ParamGrid grid = ParamGrid::fromJsonText(kTinyGrid, "labels");
     const std::string def = SweepDriver::runCellJson(
-        grid, *grid.cellByHash("bc45359c2ffe26cc"));
+        grid, *grid.cellByHash("b14cf5219698e816"));
     const std::string ovr = SweepDriver::runCellJson(
-        grid, *grid.cellByHash("a9b5854c92a490f9"));
+        grid, *grid.cellByHash("b60a5fd3fc2b68fb"));
 
     std::string err;
     minijson::Value dj = minijson::parse(def, &err);

@@ -110,12 +110,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WorkloadChecks, LockingCheckerDetectsViolations)
 {
     // The mutual-exclusion checker itself must flag bad interleavings.
-    SimContext ctx;
     LockingWorkload wl;
-    wl.noteAcquire(ctx, 3, 0);
-    wl.noteAcquire(ctx, 3, 1);  // second holder: violation
+    wl.noteAcquire(3, 0);
+    wl.noteAcquire(3, 1);  // second holder: violation
     EXPECT_EQ(wl.violations(), 1u);
-    wl.noteRelease(ctx, 3, 7);  // wrong releaser: violation
+    wl.noteRelease(3, 7);  // wrong releaser: violation
     EXPECT_EQ(wl.violations(), 2u);
 }
 
