@@ -9,6 +9,7 @@
  *   $ ./quickstart
  */
 
+#include <atomic>
 #include <cstdio>
 
 #include "system/experiment.hh"
@@ -27,28 +28,27 @@ main()
 
     // 2. Issue individual memory operations through a processor's
     //    sequencer. Completion is signaled by callback.
-    bool done = false;
+    std::atomic<std::uint32_t> done{0};
     std::uint64_t loaded = 0;
     sys.sequencer(0).store(0x1000, 42, [&](const MemResult &) {
         sys.sequencer(0).load(0x1000, [&](const MemResult &r) {
             loaded = r.value;
-            done = true;
+            ++done;
         });
     });
-    sys.context().eventq.runUntil([&]() { return done; });
+    sys.context().eventq.runUntil(done, 1);
     std::printf("store+load on processor 0 -> %llu (at %llu ns)\n",
                 (unsigned long long)loaded,
                 (unsigned long long)(sys.context().now() / ticksPerNs));
 
     // A remote processor (another CMP) observes the value coherently.
-    done = false;
     sys.sequencer(12).load(0x1000, [&](const MemResult &r) {
         std::printf("processor 12 (CMP 3) loads -> %llu after %llu ns\n",
                     (unsigned long long)r.value,
                     (unsigned long long)(r.latency / ticksPerNs));
-        done = true;
+        ++done;
     });
-    sys.context().eventq.runUntil([&]() { return done; });
+    sys.context().eventq.runUntil(done, 2);
 
     // 3. Run a whole workload (Table 2 locking micro-benchmark).
     SystemConfig cfg2;

@@ -25,11 +25,13 @@ HierShim::ensureBlock(Addr addr)
         // tokens (and the owner token) at the shim, but *no* data —
         // data authority at chip I is the home store, reached by a
         // directory fetch.
+        b.addr = blk;
         b.tokens = g.params.totalTokens;
         b.owner = true;
         it = _blocks.emplace(blk, b).first;
         g.auditor.initBlock(blk);
     }
+    _residency.touch(it->second);
     return it->second;
 }
 
@@ -69,6 +71,7 @@ HierShim::handleMsg(const Msg &msg)
       case MsgType::PersistActivate:
       case MsgType::PersistDeactivate:
         ensureBlock(msg.addr);
+        touchPersistent(msg.prio);
         handlePersistTableMsg(msg);
         return;
       case MsgType::PersistArbRequest:
@@ -454,7 +457,7 @@ HierShim::checkFetchComplete(Addr addr, Blk &b)
     u.requestor = _id;
     send(std::move(u), dg.params.l2Latency);
 
-    becomeResident(addr, b);
+    _residency.enter(b);
 
     // Serve the demand that triggered the fetch without waiting for a
     // retry round; a persistent winner outranks it.
@@ -467,7 +470,7 @@ HierShim::checkFetchComplete(Addr addr, Blk &b)
     else if (demand_valid)
         serveLocal(addr, b, demand, demand_write);
 
-    maybeEvict(addr);
+    maybeEvict(b);
 }
 
 // ---------------------------------------------------------------------
@@ -538,7 +541,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
         b.validData = false;
         b.dirty = false;
         b.chipStored = false;
-        leaveResident(b);
+        _residency.leave(b);
         Msg r;
         r.type = MsgType::InvAck;
         r.addr = addr;
@@ -607,7 +610,7 @@ HierShim::tryFinishExternal(Addr addr, Blk &b)
     b.validData = false;
     b.dirty = false;
     b.chipStored = false;
-    leaveResident(b);
+    _residency.leave(b);
     // A pending owner upgrade just lost its data: the home will
     // answer the demoted GetX with a full DataEx instead.
     if (b.fetch != Fetch::None)
@@ -686,58 +689,45 @@ HierShim::checkRecallDone(Addr addr, Blk &b)
 // Residency cap and chip-level writebacks
 // ---------------------------------------------------------------------
 
-void
-HierShim::becomeResident(Addr addr, Blk &b)
+bool
+HierShim::evictable(const Blk &b) const
 {
-    if (b.inLru)
-        return;
-    b.inLru = true;
-    _lru.push_back(addr);
-    ++_resident;
+    // Cheap fields first; the persistent table is a linear scan.
+    return b.tokens == g.params.totalTokens && b.fetch == Fetch::None &&
+           b.recall == Recall::None && !b.wbPending && !b.extPending &&
+           ptable.activeFor(b.addr) < 0;
 }
 
 void
-HierShim::leaveResident(Blk &b)
-{
-    if (!b.inLru)
-        return;
-    b.inLru = false;
-    --_resident;
-}
-
-void
-HierShim::maybeEvict(Addr just_fetched)
+HierShim::maybeEvict(Blk &just_fetched)
 {
     if (_residencyCap == 0)
         return;
-    std::size_t scans = _lru.size();
-    while (_resident > _residencyCap && scans-- > 0 && !_lru.empty()) {
-        const Addr a = _lru.front();
-        _lru.pop_front();
-        auto it = _blocks.find(a);
-        if (it == _blocks.end() || !it->second.inLru)
-            continue;  // stale queue entry
-        Blk &b = ensureBlock(a);
-        const bool busy = b.fetch != Fetch::None ||
-                          b.recall != Recall::None || b.wbPending ||
-                          b.extPending || ptable.activeFor(a) >= 0;
-        if (busy || b.tokens != g.params.totalTokens ||
-            a == just_fetched) {
-            _lru.push_back(a);  // rotate; soft cap
-            continue;
-        }
-        if (b.chip == ChipState::S) {
-            // All tokens home, so no local L1 can read a stale copy
-            // after the home re-grants the block elsewhere.
-            b.chip = ChipState::I;
-            b.validData = false;
-            b.dirty = false;
-            leaveResident(b);
-            ++stats.silentDrops;
-        } else {
-            startWb(a, b);
-        }
-    }
+    _residency.evict(
+        _residencyCap, &just_fetched,
+        [this](const Blk &b) { return evictable(b); },
+        [this](Blk &b) {
+            if (b.chip == ChipState::S) {
+                // All tokens home, so no local L1 can read a stale
+                // copy after the home re-grants the block elsewhere.
+                b.chip = ChipState::I;
+                b.validData = false;
+                b.dirty = false;
+                ++stats.silentDrops;
+            } else {
+                startWb(b.addr, b);
+            }
+        });
+}
+
+void
+HierShim::touchPersistent(unsigned prio)
+{
+    if (!_residency.watching() || !ptable.valid(prio))
+        return;
+    auto it = _blocks.find(ptable.entry(prio).addr);
+    if (it != _blocks.end())
+        _residency.touch(it->second);
 }
 
 void
@@ -753,7 +743,6 @@ HierShim::startWb(Addr addr, Blk &b)
     b.validData = false;
     b.dirty = false;
     b.chipStored = false;
-    leaveResident(b);
     ++stats.writebacksOut;
     Msg m;
     m.type = MsgType::WbRequest;
@@ -829,6 +818,7 @@ HierShim::activateArb(const ArbReq &req)
 
     // Local table first so the shim's own tokens flow (or a fetch
     // starts) immediately.
+    touchPersistent(req.prio);
     ptable.insert(req.prio, req.addr, req.isRead, req.initiator,
                   req.seq);
     onPersistentTableChange(req.addr);
@@ -852,6 +842,7 @@ HierShim::onArbDone(const Msg &m)
 {
     if (_arbBusy && _arbActive.prio == m.prio &&
         _arbActive.seq == m.reqId) {
+        touchPersistent(_arbActive.prio);
         if (ptable.valid(_arbActive.prio))
             ptable.erase(_arbActive.prio);
 

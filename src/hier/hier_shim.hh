@@ -66,6 +66,7 @@
 #include "core/token_common.hh"
 #include "directory/dir_common.hh"
 #include "directory/dir_state.hh"
+#include "hier/residency_queue.hh"
 
 namespace tokencmp {
 
@@ -113,6 +114,10 @@ class HierShim : public TokenController
     bool ownerHeld(Addr addr) const;
     ChipState peekChip(Addr addr) const;
 
+    /** Test hook: residency-queue entries examined so far (a host-cost
+     *  probe, deliberately not a simulated statistic). */
+    std::uint64_t residencyVisits() const { return _residency.visits(); }
+
   protected:
     void onPersistentTableChange(Addr addr) override;
 
@@ -123,6 +128,8 @@ class HierShim : public TokenController
     /** Per-block two-level state. */
     struct Blk
     {
+        Addr addr = 0;             //!< block-aligned address
+
         // Intra half: the CMP's token-space home (TokenMem analogue).
         int tokens = 0;
         bool owner = false;
@@ -163,7 +170,7 @@ class HierShim : public TokenController
         std::uint8_t prServedPrio = 0xff;
         MsgSeq prServedSeq = 0;
 
-        bool inLru = false;        //!< residency-queue membership
+        ResidencySlot residency;   //!< residency-queue membership
     };
 
     /** One queued intra-CMP arbiter request (TokenMem clone). */
@@ -176,6 +183,9 @@ class HierShim : public TokenController
         MachineID initiator;
     };
 
+    /** The block's state, created on first use. Every handler that
+     *  may change a block reaches it through here, which is what lets
+     *  the residency queue watch for blocks turning evictable. */
     Blk &ensureBlock(Addr addr);
 
     // Intra half.
@@ -200,10 +210,12 @@ class HierShim : public TokenController
     void onWbGrant(const Msg &m);
 
     // Residency management.
-    void becomeResident(Addr addr, Blk &b);
-    void leaveResident(Blk &b);
-    void maybeEvict(Addr just_fetched);
+    void maybeEvict(Blk &just_fetched);
+    bool evictable(const Blk &b) const;
     void startWb(Addr addr, Blk &b);
+    /** Changing processor `prio`'s persistent entry may make its
+     *  block evictable: let the residency queue re-check it. */
+    void touchPersistent(unsigned prio);
 
     // Intra-CMP persistent-request arbiter (TokenMem clone, but the
     // activate/deactivate broadcast only spans this CMP's L1s).
@@ -221,8 +233,15 @@ class HierShim : public TokenController
     std::deque<ArbReq> _arbQueue;
     std::set<std::pair<std::uint8_t, MsgSeq>> _arbOrphans;
 
-    std::deque<Addr> _lru;     //!< FIFO residency queue (lazy entries)
-    unsigned _resident = 0;
+    /**
+     * Blocks holding chip rights, in FIFO eviction order. `_blocks` is
+     * never erased, so entries can hold Blk pointers. Quirk pinned by
+     * the fixed-seed digests: a block that leaves and re-enters
+     * residency before its old entry is popped keeps that old, live
+     * position *and* gains a new one at the back, so the queue is not
+     * strictly FIFO. Changing this is a protocol change.
+     */
+    ResidencyQueue<Blk> _residency;
 };
 
 } // namespace tokencmp

@@ -330,8 +330,12 @@ EventQueue::run(Tick horizon)
 }
 
 bool
-EventQueue::runUntil(const std::function<bool()> &done, Tick horizon)
+EventQueue::runUntil(const std::atomic<std::uint32_t> &finished,
+                     std::uint32_t target, Tick horizon)
 {
+    const auto done = [&]() {
+        return finished.load(std::memory_order_relaxed) >= target;
+    };
     if (done())
         return true;
     while (Event *e = peekNext()) {

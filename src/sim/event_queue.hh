@@ -34,6 +34,7 @@
 #ifndef TOKENCMP_SIM_EVENT_QUEUE_HH
 #define TOKENCMP_SIM_EVENT_QUEUE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -191,13 +192,15 @@ class EventQueue
     bool run(Tick horizon = ~Tick(0));
 
     /**
-     * Run until `done` returns true (checked after each event), the
-     * queue drains, or the horizon passes.
+     * Run until the completion counter `finished` reaches `target`
+     * (checked before the first event and after each), the queue
+     * drains, or the horizon passes. A counter compare instead of a
+     * callback keeps the per-event stop check to one load.
      *
-     * @return true iff `done` became true.
+     * @return true iff `finished` reached `target`.
      */
-    bool runUntil(const std::function<bool()> &done,
-                  Tick horizon = ~Tick(0));
+    bool runUntil(const std::atomic<std::uint32_t> &finished,
+                  std::uint32_t target, Tick horizon = ~Tick(0));
 
     /**
      * Release every pending event (returning pooled events to their

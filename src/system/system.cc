@@ -145,14 +145,8 @@ System::runThreads(std::vector<std::unique_ptr<ThreadContext>> &threads,
         raw->notifyOnFinish(&_finished);
         contextForProc(p).eventq.schedule(0, [raw]() { raw->start(); });
     }
-    if (_ctxs.size() == 1) {
-        // Completion is a finish-counter comparison — O(1) per event
-        // instead of scanning every thread after every event.
-        auto all_done = [this, n]() {
-            return _finished.load(std::memory_order_relaxed) >= n;
-        };
-        return context().eventq.runUntil(all_done, horizon);
-    }
+    if (_ctxs.size() == 1)
+        return context().eventq.runUntil(_finished, n, horizon);
     return runSharded(n, horizon);
 }
 

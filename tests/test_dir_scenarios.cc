@@ -140,15 +140,14 @@ TEST(DirScenario, DeferredRequestsDrainInOrder)
     System sys(dirCfg());
     // Many processors storm one block; the per-block busy chains at
     // the home and the L2 must drain every request.
-    unsigned done = 0;
+    std::atomic<std::uint32_t> done{0};
     for (unsigned p = 0; p < 16; ++p) {
         sys.sequencer(p).load(0xb000, [&](const MemResult &) {
             ++done;
         });
     }
-    sys.context().eventq.runUntil([&]() { return done == 16; },
-                                  ns(1000000));
-    EXPECT_EQ(done, 16u);
+    sys.context().eventq.runUntil(done, 16, ns(1000000));
+    EXPECT_EQ(done.load(), 16u);
     std::uint64_t deferrals = 0;
     for (unsigned c = 0; c < 4; ++c) {
         for (unsigned b = 0; b < 4; ++b)

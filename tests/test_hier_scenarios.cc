@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -123,12 +124,12 @@ TEST(HierScenario, UpgradeRacesRemoteWriter)
     runLoad(sys, 8, 0x3000);  // demote: CMP 1 O, CMP 2 S
     drain(sys);
 
-    unsigned done = 0;
+    std::atomic<std::uint32_t> done{0};
     sys.sequencer(4).store(0x3000, 100,
                            [&](const MemResult &) { ++done; });
     sys.sequencer(8).store(0x3000, 200,
                            [&](const MemResult &) { ++done; });
-    sys.context().eventq.runUntil([&]() { return done == 2; });
+    sys.context().eventq.runUntil(done, 2);
     drain(sys);
 
     const std::uint64_t v = runLoad(sys, 0, 0x3000);

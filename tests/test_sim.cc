@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -65,14 +66,20 @@ TEST(EventQueue, HorizonStopsExecution)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, RunUntilPredicate)
+TEST(EventQueue, RunUntilFinishCounter)
 {
     EventQueue eq;
-    int count = 0;
+    std::atomic<std::uint32_t> count{0};
     for (int i = 0; i < 10; ++i)
         eq.schedule(i * 10 + 1, [&]() { ++count; });
-    EXPECT_TRUE(eq.runUntil([&]() { return count == 4; }));
-    EXPECT_EQ(count, 4);
+    EXPECT_TRUE(eq.runUntil(count, 0));  // already reached: runs nothing
+    EXPECT_EQ(count.load(), 0u);
+    EXPECT_TRUE(eq.runUntil(count, 4));
+    EXPECT_EQ(count.load(), 4u);
+    EXPECT_FALSE(eq.runUntil(count, 10, 50));  // horizon first
+    EXPECT_EQ(count.load(), 5u);
+    EXPECT_FALSE(eq.runUntil(count, 20));  // queue drains first
+    EXPECT_EQ(count.load(), 10u);
 }
 
 TEST(EventQueue, SchedulingInPastPanics)

@@ -209,11 +209,11 @@ TEST(TokenIntegration, ArbiterVariantCompletesOps)
 TEST(TokenIntegration, IfetchSharesThroughL1I)
 {
     System sys(tokenCfg());
-    bool done = false;
+    std::atomic<std::uint32_t> done{0};
     sys.sequencer(0).ifetch(0xc000,
-                            [&](const MemResult &) { done = true; });
-    sys.context().eventq.runUntil([&]() { return done; });
-    EXPECT_TRUE(done);
+                            [&](const MemResult &) { ++done; });
+    sys.context().eventq.runUntil(done, 1);
+    EXPECT_EQ(done.load(), 1u);
     const TokenSt *line = sys.controller<TokenL1>(0, 0, true)->peek(0xc000);
     ASSERT_NE(line, nullptr);
     EXPECT_GE(line->tokens, 1);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -81,18 +82,16 @@ TEST(TokenScenario, ResponseDelayProtectsCriticalSection)
     std::uint64_t old = runAtomicInc(sys, 0, 0x3000);
     EXPECT_EQ(old, 0u);
     // Concurrent remote atomic wants the block.
-    bool remote_done = false;
+    std::atomic<std::uint32_t> remote_done{0};
     sys.sequencer(8).atomic(0x3000,
                             [](std::uint64_t v) { return v + 1; },
-                            [&](const MemResult &) {
-                                remote_done = true;
-                            });
+                            [&](const MemResult &) { ++remote_done; });
     // Within the hold window the local release store still hits.
     Tick lat = 0;
     runStore(sys, 0, 0x3000, 100, &lat);
     EXPECT_EQ(lat, ns(2));
-    sys.context().eventq.runUntil([&]() { return remote_done; });
-    EXPECT_TRUE(remote_done);
+    sys.context().eventq.runUntil(remote_done, 1);
+    EXPECT_EQ(remote_done.load(), 1u);
     EXPECT_EQ(runLoad(sys, 3, 0x3000), 101u);
 }
 
@@ -172,12 +171,12 @@ TEST(TokenScenario, ConcurrentWritersSerialize)
     System sys(tokenCfg());
     // All 16 processors storing distinct values; last writer's value
     // must be one of the written values and all reads agree.
-    unsigned done = 0;
+    std::atomic<std::uint32_t> done{0};
     for (unsigned p = 0; p < 16; ++p) {
         sys.sequencer(p).store(0x7000, 100 + p,
                                [&](const MemResult &) { ++done; });
     }
-    sys.context().eventq.runUntil([&]() { return done == 16; });
+    sys.context().eventq.runUntil(done, 16);
     const std::uint64_t v0 = runLoad(sys, 0, 0x7000);
     EXPECT_GE(v0, 100u);
     EXPECT_LT(v0, 116u);
@@ -354,14 +353,14 @@ TEST(TokenScenario, MixedInstructionAndDataSharing)
 {
     System sys(tokenCfg());
     // The same block fetched as code and read as data across CMPs.
-    bool f1 = false, f2 = false;
+    std::atomic<std::uint32_t> fetched{0};
     sys.sequencer(2).ifetch(0x8000,
-                            [&](const MemResult &) { f1 = true; });
-    sys.context().eventq.runUntil([&]() { return f1; });
+                            [&](const MemResult &) { ++fetched; });
+    sys.context().eventq.runUntil(fetched, 1);
     EXPECT_EQ(runLoad(sys, 9, 0x8000), 0u);
     sys.sequencer(14).ifetch(0x8000,
-                             [&](const MemResult &) { f2 = true; });
-    sys.context().eventq.runUntil([&]() { return f2; });
+                             [&](const MemResult &) { ++fetched; });
+    sys.context().eventq.runUntil(fetched, 2);
     drain(sys);
     sys.tokenGlobals()->auditor.checkAll(true);
 }

@@ -7,6 +7,7 @@
 #ifndef TOKENCMP_TESTS_TEST_UTIL_HH
 #define TOKENCMP_TESTS_TEST_UTIL_HH
 
+#include <atomic>
 #include <functional>
 #include <memory>
 
@@ -74,20 +75,19 @@ runOp(System &sys, unsigned proc,
           &issue,
       Tick *latency_out = nullptr)
 {
-    bool done = false;
+    std::atomic<std::uint32_t> done{0};
     std::uint64_t val = ~std::uint64_t(0);
     Tick lat = 0;
     issue(sys.sequencer(proc), [&](const MemResult &r) {
-        done = true;
+        ++done;
         val = r.value;
         lat = r.latency;
     });
-    sys.context().eventq.runUntil([&]() { return done; },
-                                  sys.context().eventq.curTick() +
-                                      ns(1000000));
+    const bool finished = sys.context().eventq.runUntil(
+        done, 1, sys.context().eventq.curTick() + ns(1000000));
     if (latency_out != nullptr)
         *latency_out = lat;
-    return done ? val : ~std::uint64_t(0) - 1;
+    return finished ? val : ~std::uint64_t(0) - 1;
 }
 
 inline std::uint64_t
