@@ -1,29 +1,27 @@
 #include "mc/checker.hh"
 
 #include <chrono>
-#include <deque>
-#include <unordered_map>
+
+#include "mc/state_store.hh"
+#include "sim/logging.hh"
 
 namespace tokencmp::mc {
 
 namespace {
 
-struct StateHash
-{
-    std::size_t
-    operator()(const State &s) const
-    {
-        // FNV-1a over the serialized state.
-        std::size_t h = 1469598103934665603ull;
-        for (std::uint8_t b : s) {
-            h ^= b;
-            h *= 1099511628211ull;
-        }
-        return h;
-    }
-};
+constexpr std::uint32_t kNoParent = ~std::uint32_t(0);
 
 } // namespace
+
+Checker::Checker(std::uint64_t max_states) : _maxStates(max_states)
+{
+    // Ids are 32-bit and kNoParent is reserved; a run holds at most
+    // max_states + 1 states.
+    if (max_states >= kNoParent)
+        fatal("Checker: state bound %llu does not fit 32-bit state ids "
+              "(must be below 2^32 - 1)",
+              (unsigned long long)max_states);
+}
 
 CheckResult
 Checker::run(const Model &model) const
@@ -31,101 +29,138 @@ Checker::run(const Model &model) const
     const auto t0 = std::chrono::steady_clock::now();
     CheckResult res;
 
-    std::unordered_map<State, std::uint64_t, StateHash> index;
-    std::vector<std::vector<std::uint32_t>> preds;  //!< reverse edges
-    std::vector<std::uint32_t> parent;     //!< BFS tree (traces)
-    std::vector<State> stateOf;            //!< id -> state
-    std::vector<std::uint8_t> obligation;  //!< carries an obligation
-    std::vector<std::uint8_t> satisfied;   //!< obligations all met
-    std::deque<std::pair<State, unsigned>> frontier;
+    // Ids are assigned in discovery order and every fresh state joins
+    // the BFS queue as it gets its id, so the queue is always the id
+    // range [head, store.size()).
+    StateStore store;
+    std::vector<std::uint32_t> parent;      //!< BFS tree (traces)
+    std::vector<std::uint64_t> edgeBegin;   //!< id -> first out-edge
+    std::vector<std::uint32_t> edgeDst;     //!< out-edges, by source
 
-    auto intern = [&](const State &s) -> std::pair<std::uint64_t, bool> {
-        auto it = index.find(s);
-        if (it != index.end())
-            return {it->second, false};
-        const std::uint64_t id = index.size();
-        index.emplace(s, id);
-        preds.emplace_back();
-        parent.push_back(~std::uint32_t(0));
-        stateOf.push_back(s);
-        obligation.push_back(model.hasObligation(s) ? 1 : 0);
-        satisfied.push_back(model.obligationMet(s) ? 1 : 0);
-        return {id, true};
+    // The BFS path from an initial state to `id`, rendered.
+    auto traceTo = [&](std::uint32_t id) {
+        std::vector<std::uint32_t> path;
+        for (std::uint32_t v = id; v != kNoParent; v = parent[v])
+            path.push_back(v);
+        for (auto it = path.rbegin(); it != path.rend(); ++it)
+            res.trace.push_back(model.describe(store.get(*it)));
     };
 
     bool failed = false;
+    std::uint32_t failedAt = kNoParent;  //!< state the trace ends at
     for (const State &s : model.initialStates()) {
-        const auto [id, fresh] = intern(s);
-        (void)id;
+        const auto [id, fresh] = store.intern(s);
         if (fresh) {
+            parent.push_back(kNoParent);
             const std::string v = model.invariant(s);
             if (!v.empty()) {
                 res.violation = "initial state: " + v;
                 failed = true;
+                failedAt = id;
             }
-            frontier.emplace_back(s, 0);
         }
     }
 
+    State cur;
     std::vector<State> succs;
+    std::vector<std::uint64_t> hashes;
     bool deadlock = false;
-    while (!frontier.empty() && !failed) {
-        auto [s, depth] = std::move(frontier.front());
-        frontier.pop_front();
-        res.diameter = std::max(res.diameter, depth);
-        const std::uint64_t sid = index.at(s);
+    unsigned depth = 0;
+    std::size_t levelEnd = store.size();  //!< first id one level deeper
+    for (std::uint32_t sid = 0; sid < store.size() && !failed; ++sid) {
+        if (sid == levelEnd) {
+            ++depth;
+            levelEnd = store.size();
+        }
+        res.diameter = depth;
+        store.get(sid, cur);
+        edgeBegin.push_back(edgeDst.size());
 
         succs.clear();
-        model.successors(s, succs);
-        if (succs.empty() && !model.quiescent(s)) {
+        model.successors(cur, succs);
+        if (succs.empty() && !model.quiescent(cur)) {
             res.violation = "deadlock: non-quiescent state with no "
                             "successors";
             deadlock = true;
+            failedAt = sid;
             break;
         }
-        for (State &n : succs) {
+        // Hash every successor and prefetch its home slot first, so
+        // the table's cache misses overlap instead of queueing.
+        hashes.clear();
+        for (const State &n : succs) {
+            hashes.push_back(StateStore::hash(n.data(), n.size()));
+            store.prefetch(hashes.back());
+        }
+        for (std::size_t k = 0; k < succs.size(); ++k) {
+            const State &n = succs[k];
             ++res.transitions;
-            const auto [nid, fresh] = intern(n);
-            preds[nid].push_back(std::uint32_t(sid));
+            const auto [nid, fresh] =
+                store.intern(n.data(), n.size(), hashes[k]);
+            edgeDst.push_back(nid);
             if (!fresh)
                 continue;
-            parent[nid] = std::uint32_t(sid);
+            parent.push_back(sid);
             const std::string v = model.invariant(n);
             if (!v.empty()) {
                 res.violation = v;
                 failed = true;
+                failedAt = nid;
                 break;
             }
-            if (index.size() > _maxStates) {
+            if (store.size() > _maxStates) {
                 res.violation = "state bound exceeded";
                 failed = true;
                 break;
             }
-            frontier.emplace_back(std::move(n), depth + 1);
         }
     }
 
-    res.states = index.size();
+    const std::size_t n = store.size();
+    res.states = n;
     res.safe = !failed && res.violation.empty();
     res.deadlockFree = !deadlock && res.safe;
     res.completed = res.safe && !deadlock;
+    if (failedAt != kNoParent)
+        traceTo(failedAt);
 
     // Progress: every obligation-carrying state must be able to reach
     // a state where the obligation is satisfied (EF satisfied), checked
-    // via backward reachability from all satisfied states.
+    // via backward reachability from all satisfied states over the
+    // reverse edges, built here by counting sort.
     if (res.completed) {
-        std::vector<std::uint8_t> can_reach(index.size(), 0);
-        std::deque<std::uint64_t> work;
-        for (std::uint64_t i = 0; i < index.size(); ++i) {
-            if (satisfied[i]) {
+        edgeBegin.push_back(edgeDst.size());
+        std::vector<std::uint64_t> predBegin(n + 1, 0);
+        for (std::uint32_t d : edgeDst)
+            ++predBegin[d + 1];
+        for (std::size_t i = 0; i < n; ++i)
+            predBegin[i + 1] += predBegin[i];
+        std::vector<std::uint32_t> preds(edgeDst.size());
+        {
+            std::vector<std::uint64_t> fill(predBegin.begin(),
+                                            predBegin.end() - 1);
+            for (std::uint32_t src = 0; src < n; ++src)
+                for (std::uint64_t e = edgeBegin[src];
+                     e < edgeBegin[src + 1]; ++e)
+                    preds[fill[edgeDst[e]]++] = src;
+        }
+        std::vector<std::uint32_t>().swap(edgeDst);
+
+        std::vector<std::uint8_t> can_reach(n, 0);
+        std::vector<std::uint32_t> work;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            store.get(i, cur);
+            if (model.obligationMet(cur)) {
                 can_reach[i] = 1;
                 work.push_back(i);
             }
         }
         while (!work.empty()) {
-            const std::uint64_t i = work.front();
-            work.pop_front();
-            for (std::uint32_t p : preds[i]) {
+            const std::uint32_t i = work.back();
+            work.pop_back();
+            for (std::uint64_t e = predBegin[i]; e < predBegin[i + 1];
+                 ++e) {
+                const std::uint32_t p = preds[e];
                 if (!can_reach[p]) {
                     can_reach[p] = 1;
                     work.push_back(p);
@@ -133,21 +168,15 @@ Checker::run(const Model &model) const
             }
         }
         res.progress = true;
-        for (std::uint64_t i = 0; i < index.size(); ++i) {
-            if (obligation[i] && !can_reach[i]) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (can_reach[i])
+                continue;
+            store.get(i, cur);
+            if (model.hasObligation(cur)) {
                 res.progress = false;
                 res.violation =
                     "progress: an obligation can never be satisfied";
-                // Reconstruct the BFS path to the stuck state.
-                std::vector<std::uint64_t> path;
-                for (std::uint64_t v = i; v != ~std::uint32_t(0);
-                     v = parent[v]) {
-                    path.push_back(v);
-                    if (parent[v] == ~std::uint32_t(0))
-                        break;
-                }
-                for (auto it = path.rbegin(); it != path.rend(); ++it)
-                    res.trace.push_back(model.describe(stateOf[*it]));
+                traceTo(i);
                 break;
             }
         }

@@ -125,6 +125,12 @@ TEST(CheckerKernel, DeadlockDetected)
     auto r = chk.run(m);
     EXPECT_FALSE(r.deadlockFree);
     EXPECT_NE(r.violation.find("deadlock"), std::string::npos);
+    // The trace walks from the initial state to the dead state.
+    const std::vector<std::string> want{"state-0", "state-1", "state-2",
+                                        "state-3"};
+    EXPECT_EQ(r.trace, want);
+    EXPECT_EQ(r.trace.front(), "state-0");
+    EXPECT_EQ(r.trace.back(), "state-3");
 }
 
 TEST(CheckerKernel, StateBoundReported)
@@ -134,6 +140,20 @@ TEST(CheckerKernel, StateBoundReported)
     auto r = chk.run(m);
     EXPECT_FALSE(r.completed);
     EXPECT_NE(r.violation.find("bound"), std::string::npos);
+    EXPECT_TRUE(r.trace.empty());  // no failing state to trace to
+}
+
+TEST(CheckerKernelDeathTest, StateBoundMustFitStateIds)
+{
+    // Ids are 32-bit with ~0 reserved, and a run holds up to
+    // max_states + 1 states.
+    EXPECT_EXIT(Checker(0xffffffffull), testing::ExitedWithCode(1),
+                "32-bit state ids");
+    EXPECT_EXIT(Checker(std::uint64_t(1) << 40),
+                testing::ExitedWithCode(1), "32-bit state ids");
+    const Checker largest(0xfffffffeull);
+    ChainModel m(3, false, false);
+    EXPECT_EQ(largest.run(m).states, 4u);
 }
 
 TEST(CheckerKernel, DiameterMatchesChainLength)

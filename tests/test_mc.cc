@@ -42,6 +42,11 @@ class CounterModel : public Model
         return "";
     }
     bool quiescent(const State &s) const override { return s[0] == 3; }
+    std::string
+    describe(const State &s) const override
+    {
+        return "count-" + std::to_string(int(s[0]));
+    }
 
   private:
     bool _broken;
@@ -80,6 +85,32 @@ TEST(Checker, ReportsInvariantViolations)
     auto r = chk.run(m);
     EXPECT_FALSE(r.safe);
     EXPECT_NE(r.violation.find("bad state"), std::string::npos);
+    // Counterexample: initial state first, violating state last.
+    const std::vector<std::string> want{"count-0", "count-1", "count-2"};
+    EXPECT_EQ(r.trace, want);
+    EXPECT_EQ(r.trace.front(), "count-0");
+    EXPECT_EQ(r.trace.back(), "count-2");
+}
+
+TEST(Checker, TracesInitialStateViolations)
+{
+    class BadStart : public CounterModel
+    {
+      public:
+        BadStart() : CounterModel(true) {}
+        std::vector<State>
+        initialStates() const override
+        {
+            return {State{0}, State{2}};
+        }
+    };
+    Checker chk;
+    auto r = chk.run(BadStart());
+    EXPECT_FALSE(r.safe);
+    EXPECT_EQ(r.violation, "initial state: hit the bad state");
+    EXPECT_EQ(r.trace, std::vector<std::string>{"count-2"});
+    EXPECT_EQ(r.states, 2u);
+    EXPECT_EQ(r.transitions, 0u);
 }
 
 TEST(TokenModelCheck, SafetyVariantIsSafe)
@@ -194,6 +225,9 @@ TEST(DirModelCheck, CatchesForgottenInvalidation)
     auto r = chk.run(m);
     EXPECT_FALSE(r.safe);
     EXPECT_NE(r.violation.find("stale"), std::string::npos);
+    // The stale state is found while expanding the deepest level, so
+    // the counterexample is one step longer than the diameter.
+    EXPECT_EQ(r.trace.size(), r.diameter + 2u);
 }
 
 TEST(HierModelCheck, TwoLevelCompositionIsSafeAndProgressing)
@@ -250,6 +284,8 @@ TEST(HierModelCheck, CatchesSkippedInvAck)
     EXPECT_FALSE(r.deadlockFree);
     EXPECT_NE(r.violation.find("deadlock"), std::string::npos)
         << r.violation;
+    // The dead state is the last one expanded, at the deepest level.
+    EXPECT_EQ(r.trace.size(), r.diameter + 1u);
 }
 
 } // namespace tokencmp::mc
