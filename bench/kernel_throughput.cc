@@ -11,8 +11,8 @@
  *  2. the pooled timing-wheel kernel (and the reference-heap backend)
  *     on the same self-rescheduling event chains;
  *  3. a full TokenCMP system run (locking workload), reporting
- *     simulated events/sec, messages/sec and the delivery batching
- *     rate, with batching on and off.
+ *     simulated events/sec and messages/sec, with per-link bandwidth
+ *     modeled and without.
  *
  * Results land in BENCH_kernel_throughput.json. The chains carry a
  * 64-byte payload matching Msg: that is what the seed network captured
@@ -143,26 +143,22 @@ chainThroughput(Queue &q, unsigned chains, std::uint64_t total)
 
 std::string
 rawCell(const std::string &label, double events_per_sec,
-        double msgs_per_sec = 0.0, double batch_rate = 0.0)
+        double msgs_per_sec = 0.0)
 {
     std::string out = "{\"label\": " + json::quote(label) +
                       ", \"eventsPerSec\": " +
                       json::number(events_per_sec);
     if (msgs_per_sec > 0.0)
         out += ", \"messagesPerSec\": " + json::number(msgs_per_sec);
-    if (batch_rate > 0.0)
-        out += ", \"batchRate\": " + json::number(batch_rate);
     return out + "}";
 }
 
 /** Full-system datapoint: TokenCMP + locking, one fixed seed. */
 void
-systemThroughput(bench::JsonReport &report, bool batching,
-                 bool model_bandwidth)
+systemThroughput(bench::JsonReport &report, bool model_bandwidth)
 {
     SystemConfig cfg;
     cfg.protocol = Protocol::TokenDst1;
-    cfg.net.batchDelivery = batching;
     cfg.net.modelBandwidth = model_bandwidth;
     cfg.seed = 1;
     cfg.finalize();
@@ -182,21 +178,14 @@ systemThroughput(bench::JsonReport &report, bool batching,
     const Network &net = *sys.context().net;
     const double ev_s = double(events) / secs;
     const double msg_s = double(net.totalMessages()) / secs;
-    const double batch_rate =
-        net.totalMessages() == 0
-            ? 0.0
-            : double(net.batchedMessages()) / double(net.totalMessages());
 
-    const std::string label =
-        std::string("system_tokencmp_locking_") +
-        (batching ? "batched" : "unbatched") +
-        (model_bandwidth ? "" : "_nobw");
-    std::printf("%-34s %12.3e ev/s %12.3e msg/s  batched %4.1f%%  "
+    const std::string label = std::string("system_tokencmp_locking") +
+                              (model_bandwidth ? "" : "_nobw");
+    std::printf("%-34s %12.3e ev/s %12.3e msg/s  "
                 "(completed=%d runtime=%llu)\n",
-                label.c_str(), ev_s, msg_s, 100.0 * batch_rate,
-                int(r.completed),
+                label.c_str(), ev_s, msg_s, int(r.completed),
                 static_cast<unsigned long long>(r.runtime));
-    report.addRaw(rawCell(label, ev_s, msg_s, batch_rate));
+    report.addRaw(rawCell(label, ev_s, msg_s));
 }
 
 } // namespace
@@ -241,13 +230,8 @@ main(int argc, char **argv)
                   json::number(speedup) + "}");
 
     std::printf("\n");
-    systemThroughput(report, true, true);
-    systemThroughput(report, false, true);
-    // Without per-link serialization, same-tick fan-in is common and
-    // delivery batching engages; with Table 3 bandwidth modeling the
-    // staggered link occupancy makes same-tick arrivals rare.
-    systemThroughput(report, true, false);
-    systemThroughput(report, false, false);
+    systemThroughput(report, true);
+    systemThroughput(report, false);
 
     if (speedup < 2.0) {
         std::printf("\nFAIL: wheel kernel below 2x seed kernel\n");

@@ -14,21 +14,15 @@
  *     chain; pings are ordinary scheduleAbs calls) — the baseline;
  *  2. the sharded kernel with 1, 2 and 4 worker threads.
  *
- * The same logical workload decomposed 8 ways and driven by 8
- * workers measures the sub-CMP shard-map payoff (the PR 3 per-CMP
- * decomposition has only 4 shards, so 8 workers clamp to 4).
  * Full-system datapoints (TokenCMP + locking) are recorded
- * alongside: serial, per-CMP sharding at 4 and 8 workers, and the
- * sub-CMP perL1Bank shard map at 8 workers (20 domains on the
- * Table 3 machine). Results land in BENCH_sharded_throughput.json.
+ * alongside: serial, and per-CMP sharding at 4 and 8 workers.
+ * Results land in BENCH_sharded_throughput.json.
  *
- * Gates: sharded @ 4 workers must reach >= 1.8x the single-thread
+ * Gate: sharded @ 4 workers must reach >= 1.8x the single-thread
  * wheel in events/sec (enforced when the host has >= 4 hardware
- * threads or TOKENCMP_ENFORCE_SHARDED_GATE is set), and the 8-shard
- * decomposition @ 8 workers must reach >= 1.3x the per-CMP one
- * (>= 8 hardware threads or TOKENCMP_ENFORCE_SUBCMP_GATE). On
- * smaller hosts the numbers are recorded but the gates are skipped —
- * a 1-core container cannot demonstrate parallel speedup.
+ * threads or TOKENCMP_ENFORCE_SHARDED_GATE is set). On smaller hosts
+ * the numbers are recorded but the gate is skipped — a 1-core
+ * container cannot demonstrate parallel speedup.
  */
 
 #include <chrono>
@@ -64,33 +58,31 @@ struct Payload
 };
 
 constexpr unsigned kTotalChains = 1024;
+constexpr unsigned kShards = 4;
 constexpr Tick kLookahead = ns(2);  //!< min cross-shard link latency
 
 /**
  * The chain workload, runnable either on one plain EventQueue
  * (`plain == true`: the PR 2 kernel, pings are direct schedules) or
- * on per-shard queues under the ShardedKernel. The logical workload
- * (kTotalChains chains, `total_hops` hops) is fixed; `shards` only
- * chooses how finely it is decomposed, so decompositions compare on
- * equal work.
+ * on kShards per-shard queues under the ShardedKernel. The logical
+ * workload (kTotalChains chains, `total_hops` hops) is the same
+ * either way, so the two kernels compare on equal work.
  */
 class ChainBench
 {
   public:
-    ChainBench(bool plain, unsigned shards, std::uint64_t total_hops,
-               std::uint64_t seed)
-        : _plain(plain), _shards(shards),
-          _hopsPerShard(total_hops / shards)
+    ChainBench(bool plain, std::uint64_t total_hops, std::uint64_t seed)
+        : _plain(plain), _hopsPerShard(total_hops / kShards)
     {
-        const unsigned queues = plain ? 1 : _shards;
+        const unsigned queues = plain ? 1 : kShards;
         for (unsigned q = 0; q < queues; ++q)
             _queues.push_back(std::make_unique<EventQueue>());
-        _state.resize(_shards);
+        _state.resize(kShards);
         if (!plain)
-            _mail.resize(_shards * _shards);
-        for (unsigned s = 0; s < _shards; ++s) {
+            _mail.resize(kShards * kShards);
+        for (unsigned s = 0; s < kShards; ++s) {
             _state[s].rng.reseed(seed * 31337 + s);
-            for (unsigned c = 0; c < kTotalChains / _shards; ++c) {
+            for (unsigned c = 0; c < kTotalChains / kShards; ++c) {
                 Payload p;
                 p.words[0] = c;
                 scheduleHop(s, ns(1) + c * 7, p);
@@ -162,7 +154,7 @@ class ChainBench
         next.words[1] = st.hops;
         if (st.rng.chance(1.0 / 3.0)) {
             // Cross-shard ping: 2 ns minimum latency.
-            const auto d = unsigned(st.rng.uniform(_shards - 1));
+            const auto d = unsigned(st.rng.uniform(kShards - 1));
             const unsigned dst = d >= s ? d + 1 : d;
             const Tick arrival = queueOf(s).curTick() + kLookahead +
                                  Tick(st.rng.uniform(ns(4)));
@@ -174,7 +166,7 @@ class ChainBench
                     (void)ping;
                 });
             } else {
-                _mail[s * _shards + dst].push(Ping{arrival, next},
+                _mail[s * kShards + dst].push(Ping{arrival, next},
                                               arrival);
             }
         }
@@ -184,9 +176,9 @@ class ChainBench
     void
     flip(std::vector<Tick> &earliest)
     {
-        for (unsigned src = 0; src < _shards; ++src) {
-            for (unsigned dst = 0; dst < _shards; ++dst) {
-                auto &mb = _mail[src * _shards + dst];
+        for (unsigned src = 0; src < kShards; ++src) {
+            for (unsigned dst = 0; dst < kShards; ++dst) {
+                auto &mb = _mail[src * kShards + dst];
                 mb.flip();
                 earliest[dst] =
                     std::min(earliest[dst], mb.pendingMin());
@@ -197,8 +189,8 @@ class ChainBench
     void
     intake(unsigned dst)
     {
-        for (unsigned src = 0; src < _shards; ++src) {
-            auto &mb = _mail[src * _shards + dst];
+        for (unsigned src = 0; src < kShards; ++src) {
+            auto &mb = _mail[src * kShards + dst];
             for (const Ping &p : mb.pending()) {
                 const Payload ping = p.payload;
                 _queues[dst]->scheduleAbs(p.arrival,
@@ -209,7 +201,6 @@ class ChainBench
     }
 
     bool _plain;
-    unsigned _shards;
     std::uint64_t _hopsPerShard;
     std::vector<std::unique_ptr<EventQueue>> _queues;
     std::vector<Shard> _state;
@@ -223,22 +214,18 @@ rawCell(const std::string &label, double events_per_sec)
            ", \"eventsPerSec\": " + json::number(events_per_sec) + "}";
 }
 
-/** Full-system datapoint: TokenCMP + locking, serial vs sharded
- *  under a chosen shard map. Prints under `label` but does not
- *  record (callers record the best of their attempts, so the printed
- *  and recorded labels are the same string). `windows_out` reports
+/** Full-system datapoint: TokenCMP + locking, serial vs sharded on
+ *  the per-CMP domains. Prints under `label`; `windows_out` reports
  *  the deterministic window-round count (lookahead quality, immune
  *  to wall-clock noise). */
 double
 systemThroughput(const std::string &label, unsigned shards,
-                 ShardMapKind map = ShardMapKind::PerCmp,
-                 std::uint64_t *windows_out = nullptr)
+                 std::uint64_t *windows_out)
 {
     SystemConfig cfg;
     cfg.protocol = Protocol::TokenDst1;
     cfg.seed = 1;
     cfg.shards = shards;
-    cfg.shardMap.kind = map;
     cfg.finalize();
 
     LockingParams p;
@@ -285,7 +272,7 @@ main(int argc, char **argv)
 
     const std::uint64_t total_hops = 2000000;  //!< ~2M events
 
-    ChainBench plain(true, 4, total_hops, 7);
+    ChainBench plain(true, total_hops, 7);
     const double base_eps = plain.run(1);
     std::printf("%-34s %12.3e events/sec\n", "single_thread_wheel",
                 base_eps);
@@ -299,7 +286,7 @@ main(int argc, char **argv)
         const int attempts = workers == 4 ? 2 : 1;
         double eps = 0.0;
         for (int a = 0; a < attempts; ++a) {
-            ChainBench sharded(false, 4, total_hops, 7);
+            ChainBench sharded(false, total_hops, 7);
             eps = std::max(eps, sharded.run(workers));
         }
         const std::string label =
@@ -318,24 +305,6 @@ main(int argc, char **argv)
         "\"ratio\": " +
         json::number(speedup) + "}");
 
-    // Sub-CMP decomposition of the same logical workload: 8 shards
-    // driven by 8 workers, vs the PR 3 per-CMP decomposition (4
-    // shards, so 8 workers clamp to 4). Best of two attempts.
-    double sharded8x8_eps = 0.0;
-    for (int a = 0; a < 2; ++a) {
-        ChainBench sharded(false, 8, total_hops, 7);
-        sharded8x8_eps = std::max(sharded8x8_eps, sharded.run(8));
-    }
-    std::printf("%-34s %12.3e events/sec\n", "sharded_shards8_workers8",
-                sharded8x8_eps);
-    report.addRaw(rawCell("sharded_shards8_workers8", sharded8x8_eps));
-    const double subcmp_gain = sharded8x8_eps / sharded4_eps;
-    std::printf("\nsub-CMP 8x8 vs per-CMP sharding @ 8 workers: "
-                "%.2fx\n", subcmp_gain);
-    report.addRaw(
-        "{\"label\": \"gain_shards8x8_vs_percmp\", \"ratio\": " +
-        json::number(subcmp_gain) + "}");
-
     std::printf("\n");
     const std::pair<const char *, unsigned> system_cells[] = {
         {"system_locking_serial", 0},
@@ -344,14 +313,11 @@ main(int argc, char **argv)
     };
     for (const auto &[label, shards] : system_cells) {
         std::uint64_t windows = 0;
-        const double ev_s = systemThroughput(label, shards,
-                                             ShardMapKind::PerCmp,
-                                             &windows);
+        const double ev_s = systemThroughput(label, shards, &windows);
         report.addRaw(rawCell(label, ev_s));
         // Window rounds are deterministic (no wall-clock noise), so
-        // they track lookahead-matrix quality directly: the per-type
-        // serialization floor widens every matrix entry and must show
-        // up here as fewer barriers for the same simulated work.
+        // they track lookahead-matrix quality directly: any drift
+        // means the matrix changed.
         if (shards > 0) {
             report.addRaw("{\"label\": " +
                           json::quote(std::string(label) + "_windows") +
@@ -359,20 +325,6 @@ main(int argc, char **argv)
                           json::number(double(windows)) + "}");
         }
     }
-    // Full-system sub-CMP datapoint (informational: window sizes drop
-    // to the intra-CMP hop bound — 2 ns crossbar latency plus the
-    // control-message serialization floor — so the barrier cadence,
-    // not worker count, dominates on small hosts). Best of two
-    // attempts under one label.
-    const std::string perl1bank_label =
-        "system_locking_shards8_perL1Bank";
-    double perl1bank8 = 0.0;
-    for (int a = 0; a < 2; ++a) {
-        perl1bank8 = std::max(
-            perl1bank8, systemThroughput(perl1bank_label, 8,
-                                         ShardMapKind::PerL1Bank));
-    }
-    report.addRaw(rawCell(perl1bank_label, perl1bank8));
 
     const unsigned hw = std::thread::hardware_concurrency();
     int rc = 0;
@@ -392,24 +344,5 @@ main(int argc, char **argv)
                     "wheel\n", speedup);
     }
 
-    // Sub-CMP gate: finer shard maps must buy >= 1.3x at 8 workers
-    // over the PR 3 per-CMP decomposition (which clamps to 4). Needs
-    // 8 hardware threads to demonstrate (auto-skip below, like the
-    // 4-worker gate; TOKENCMP_ENFORCE_SUBCMP_GATE arms it
-    // regardless).
-    const bool enforce_subcmp =
-        hw >= 8 || std::getenv("TOKENCMP_ENFORCE_SUBCMP_GATE");
-    if (!enforce_subcmp) {
-        std::printf("SKIP sub-CMP gate: only %u hardware thread(s); "
-                    "need 8 to demonstrate sub-CMP scaling\n",
-                    hw);
-    } else if (subcmp_gain < 1.3) {
-        std::printf("FAIL: sub-CMP sharding @ 8 workers below 1.3x "
-                    "per-CMP sharding\n");
-        rc = 1;
-    } else {
-        std::printf("PASS: sub-CMP sharding @ 8 workers %.2fx per-CMP "
-                    "sharding\n", subcmp_gain);
-    }
     return rc;
 }

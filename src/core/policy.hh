@@ -24,7 +24,8 @@
  * (`Network::interOccupancy`). Policies that draw from the controller
  * RNG (the `onRetry` hook's `rng`) shift every later draw, so enabling
  * such a policy is a *different deterministic execution*, not a
- * perturbation of the old one — same caveat as changing the shard map.
+ * perturbation of the old one — same caveat as switching between the
+ * serial and sharded kernels.
  */
 
 #ifndef TOKENCMP_CORE_POLICY_HH

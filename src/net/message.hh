@@ -9,11 +9,11 @@
  * (8-byte header + 64-byte block), control messages are 8 bytes.
  *
  * The in-memory Msg is packed independently of that wire model: the
- * simulator copies messages by value through per-domain arenas and
- * delivery batches, so the struct is laid out hot-fields-first with
- * explicit field ordering, narrowed integer types, and single-bit
- * flags. static_asserts below pin the layout; see the README
- * "Performance" section before touching it.
+ * simulator copies every message by value into a pooled delivery
+ * event (and a mailbox when it crosses shard domains), so the struct
+ * is laid out hot-fields-first with explicit field ordering, narrowed
+ * integer types, and single-bit flags. static_asserts below pin the
+ * layout; see the README "Performance" section before touching it.
  */
 
 #ifndef TOKENCMP_NET_MESSAGE_HH
@@ -114,9 +114,9 @@ inline constexpr unsigned kDataBytes = 72;
  * vocabulary admits from a `src`-type machine to a `dst`-type machine,
  * derived from a static table of every MsgType's legal directions and
  * minimum shape. The sharded lookahead matrix uses it to add each
- * link's guaranteed minimum serialization to the window bound
- * (NetworkParams::typeAwareLookahead); directions the table
- * over-approximates only make the bound safer, never wrong.
+ * link's guaranteed minimum serialization to the window bound;
+ * directions the table over-approximates only make the bound safer,
+ * never wrong.
  */
 unsigned minWireBytes(MachineType src, MachineType dst);
 
@@ -127,8 +127,8 @@ unsigned minWireBytes(MachineType src, MachineType dst);
  * three 3-byte MachineIDs packed back to back, then the narrow scalars,
  * with the booleans collapsed into one flag byte. 40 bytes total (48
  * under TOKENCMP_MSG_TRACE), down from the 64 a declaration-ordered
- * layout cost — at millions of messages/sec every line of a delivery
- * batch holds ~1.6 messages instead of 1.
+ * layout cost — at millions of messages/sec every copy moves five
+ * words instead of eight.
  */
 struct Msg
 {
@@ -218,11 +218,11 @@ struct Msg
 };
 
 // The layout contract. Trivially copyable is what lets delivery
-// batches and arena blocks memcpy Msgs around; the size asserts catch
+// events and mailboxes memcpy Msgs around; the size asserts catch
 // accidental re-widening (a stray `int` or reordered member) at
 // compile time, in both reqId shapes.
 static_assert(std::is_trivially_copyable_v<Msg>,
-              "Msg must stay memcpy-safe for batches and arenas");
+              "Msg must stay memcpy-safe for delivery and mailboxes");
 #ifdef TOKENCMP_MSG_TRACE
 static_assert(sizeof(Msg) == 48 && alignof(Msg) == 8,
               "Msg (traced, 64-bit reqId) must pack to 48 bytes");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "net/controller.hh"
 #include "sim/logging.hh"
@@ -24,47 +23,17 @@ netLevelName(NetLevel l)
 void
 DeliverEvent::process()
 {
-    // Close the batch before delivering: a handler may send to this
-    // same controller at this same tick, which must open a fresh event
-    // (later in (tick, seq) order), never append to a fired one.
-    if (_net->_open[_dstIdx] == this)
-        _net->_open[_dstIdx] = nullptr;
-    Network::DomainState &ds = _net->_dom[_domIdx];
-    ++ds.wakeups;
-    for (std::uint32_t i = 0; i < _count; ++i) {
-        --ds.inFlight;
-        _dst->handleMsg(_msgs[i]);
-    }
-    _count = 0;  // keeps the spill block; release() treats leftovers
-                 // as undelivered
+    _dst->handleMsg(_msg);
 }
 
 void
 DeliverEvent::release()
 {
-    // Released without firing (EventQueue::reset()/releaseAll()): the
-    // messages never arrived, and the open-batch slot must not keep
-    // pointing at a node about to be recycled.
-    Network::DomainState &ds = _net->_dom[_domIdx];
-    ds.inFlight -= _count;
-    if (_net->_open[_dstIdx] == this)
-        _net->_open[_dstIdx] = nullptr;
-    _count = 0;
+    // Once per scheduled event: after process(), or when
+    // EventQueue::reset()/releaseAll() drops the message undelivered.
+    Network::DomainState &ds = _net->_dom[_domain];
+    --ds.inFlight;
     ds.pool.recycle(this);
-}
-
-void
-DeliverEvent::grow(MsgArena &arena)
-{
-    const std::uint32_t new_cap = _cap == kInlineMsgs
-                                      ? MsgArena::kMinBlockMsgs
-                                      : _cap * 2;
-    Msg *block = arena.acquire(new_cap);
-    std::memcpy(block, _msgs, _count * sizeof(Msg));
-    if (_msgs != _inline)
-        arena.recycle(_msgs, _cap);
-    _msgs = block;
-    _cap = new_cap;
 }
 
 Network::Network(EventQueue &eq, const Topology &topo,
@@ -81,7 +50,6 @@ Network::Network(EventQueue &eq, const Topology &topo,
     _interLinks.assign(_topo.numCmps * _topo.numCmps, Link{});
     _memEgress.assign(_topo.numCmps, Link{});
     _memIngress.assign(_topo.numCmps, Link{});
-    _open.assign(_topo.numControllers(), nullptr);
     _dom = std::vector<DomainState>(1);
     _lookahead.assign(1, EventQueue::noTick);
 }
@@ -112,36 +80,24 @@ Network::registerController(Controller *c)
 }
 
 void
-Network::shard(const std::vector<EventQueue *> &queues,
-               const std::vector<unsigned> &domain_of)
+Network::shard(const std::vector<EventQueue *> &queues)
 {
-    if (queues.empty())
-        panic("shard: need at least one domain queue");
+    if (queues.size() != _topo.numCmps)
+        panic("shard: %zu domain queues for %u CMPs", queues.size(),
+              _topo.numCmps);
     if (queues[0] != _eqs.front())
         panic("shard: domain 0 must keep the construction queue");
-    if (domain_of.size() != _topo.numControllers())
-        panic("shard: %zu domain assignments for %u controllers",
-              domain_of.size(), _topo.numControllers());
-    for (unsigned d : domain_of) {
-        if (d >= queues.size())
-            panic("shard: controller assigned to domain %u of %zu", d,
-                  queues.size());
-    }
     if (totalMessages() != 0 || inFlight() != 0)
         panic("shard after traffic started");
 
     _eqs = queues;
-    _ctrlDomain = domain_of;
     _dom = std::vector<DomainState>(_eqs.size());
     _mail = std::vector<FlipMailbox<Handoff>>(_eqs.size() *
                                               _eqs.size());
-    // Split every directed inter-CMP link — and every CMP's memory
-    // ingress link — into one virtual channel per source domain, so
-    // co-located domains never share occupancy and every path is
-    // traversed entirely by its sender.
-    _numVC = numDomains();
-    _interLinks.assign(_topo.numCmps * _topo.numCmps * _numVC, Link{});
-    _memIngress.assign(_topo.numCmps * _numVC, Link{});
+    // Split every CMP's memory ingress link into one channel per
+    // source domain, so every path is traversed entirely by its
+    // sender.
+    _memIngress.assign(_topo.numCmps * numDomains(), Link{});
     buildLookaheadMatrix();
 }
 
@@ -154,10 +110,8 @@ Network::minPathDelta(const MachineID &src, const MachineID &dst) const
         return EventQueue::noTick;  // mem-to-mem messages don't exist
 
     // Minimum serialization each link adds before a message can reach
-    // the far side. Zero when bandwidth is off (no serialization
-    // exists) or when the type-aware derivation is disabled (then the
-    // matrix reproduces the latency-only bound).
-    const bool with_ser = _p.typeAwareLookahead && _p.modelBandwidth;
+    // the far side (none when bandwidth is off).
+    const bool with_ser = _p.modelBandwidth;
     const bool data_only =
         with_ser && minWireBytes(src.type, dst.type) > kControlBytes;
 
@@ -193,14 +147,11 @@ Network::buildLookaheadMatrix()
         ids.push_back(_topo.mem(c));
     }
     for (const MachineID &a : ids) {
-        const unsigned da = _ctrlDomain[_topo.globalIndex(a)];
         for (const MachineID &b : ids) {
-            const unsigned db = _ctrlDomain[_topo.globalIndex(b)];
-            if (da == db || a == b)
+            if (a.cmp == b.cmp)
                 continue;
-            const Tick l = minPathDelta(a, b);
-            Tick &cell = _lookahead[da * n + db];
-            cell = std::min(cell, l);
+            Tick &cell = _lookahead[a.cmp * n + b.cmp];
+            cell = std::min(cell, minPathDelta(a, b));
         }
     }
     for (unsigned s = 0; s < n; ++s) {
@@ -248,10 +199,8 @@ Network::send(Msg msg, Tick sender_delay)
     const unsigned sd = domainOf(msg.src);
     const unsigned dd = domainOf(msg.dst);
 
-    // The sender executes on its own domain; every link below except
-    // the home memory ingress is source-owned (the per-source virtual
-    // channels keep the inter-CMP links that way even when several
-    // domains share the source chip).
+    // The sender executes on its own domain, which owns every link
+    // below (the home memory ingress through its per-source channel).
     Tick t = _eqs[sd]->curTick() + sender_delay;
     const Tick ser_intra = _serIntra.of(msg);
     const Tick ser_inter = _serInter.of(msg);
@@ -264,7 +213,7 @@ Network::send(Msg msg, Tick sender_delay)
         if (dst_is_mem)
             panic("memory-to-memory message");
         if (scmp != dcmp) {
-            t = traverse(interLink(scmp, dcmp, sd), t,
+            t = traverse(interLink(scmp, dcmp), t,
                          _p.interLatency, ser_inter);
             account(NetLevel::Inter, msg, sd);
         } else {
@@ -275,7 +224,7 @@ Network::send(Msg msg, Tick sender_delay)
         }
     } else if (dst_is_mem) {
         if (scmp != dcmp) {
-            t = traverse(interLink(scmp, dcmp, sd), t,
+            t = traverse(interLink(scmp, dcmp), t,
                          _p.interLatency, ser_inter);
             account(NetLevel::Inter, msg, sd);
         } else {
@@ -283,8 +232,8 @@ Network::send(Msg msg, Tick sender_delay)
                          _p.intraLatency, ser_intra);
             account(NetLevel::Intra, msg, sd);
         }
-        // The home memory ingress link is a per-source-domain virtual
-        // channel, so even a remote sender finishes the whole path —
+        // The home memory ingress link has a channel per source
+        // domain, so even a remote sender finishes the whole path —
         // the arrival tick below is final.
         t = traverse(memIngressLink(dcmp, sd), t, _p.memLinkLatency,
                      ser_mem);
@@ -297,7 +246,7 @@ Network::send(Msg msg, Tick sender_delay)
     } else {
         // Cross-chip cache-to-cache: the 20 ns inter link subsumes the
         // chip interfaces (Table 3).
-        t = traverse(interLink(scmp, dcmp, sd), t, _p.interLatency,
+        t = traverse(interLink(scmp, dcmp), t, _p.interLatency,
                      ser_inter);
         account(NetLevel::Inter, msg, sd);
     }
@@ -312,42 +261,25 @@ Network::send(Msg msg, Tick sender_delay)
         mailbox(sd, dd).push(h, t);
         return;
     }
-    deliverLocal(msg, t, dd);
+    _eqs[dd]->scheduleEvent(makeDelivery(msg, dd), t);
 }
 
-void
-Network::deliverLocal(const Msg &msg, Tick arrival, unsigned domain)
+DeliverEvent *
+Network::makeDelivery(const Msg &msg, unsigned domain)
 {
-    const unsigned idx = _topo.globalIndex(msg.dst);
-    Controller *dst = _controllers.at(idx);
+    Controller *dst = _controllers.at(_topo.globalIndex(msg.dst));
     if (dst == nullptr)
         panic("message to unregistered controller %s",
               msg.dst.toString().c_str());
 
     DomainState &ds = _dom[domain];
-    EventQueue &eq = *_eqs[domain];
     ++ds.inFlight;
-
-    // Join the destination's open batch only when it targets the same
-    // tick AND nothing was scheduled since its last append — then the
-    // batch members are consecutive in (tick, seq) and delivering them
-    // from one wakeup is indistinguishable from per-message events.
-    DeliverEvent *b = _open[idx];
-    if (_p.batchDelivery && b != nullptr && b->scheduled() &&
-        b->when() == arrival && eq.nextSeq() == b->seq() + 1) {
-        b->append(msg, ds.arena);
-        ++ds.batched;
-        return;
-    }
-
-    b = ds.pool.acquire();
-    b->_net = this;
-    b->_dst = dst;
-    b->_dstIdx = idx;
-    b->_domIdx = domain;
-    b->append(msg, ds.arena);
-    eq.scheduleEvent(b, arrival);
-    _open[idx] = b;
+    DeliverEvent *e = ds.pool.acquire();
+    e->_net = this;
+    e->_dst = dst;
+    e->_domain = domain;
+    e->_msg = msg;
+    return e;
 }
 
 void
@@ -370,34 +302,12 @@ Network::intakeMailboxes(unsigned domain)
     for (unsigned src = 0; src < n; ++src) {
         FlipMailbox<Handoff> &mb = mailbox(src, domain);
         for (const Handoff &h : mb.pending()) {
-            deliverKeyed(h, domain);
+            _eqs[domain]->scheduleKeyed(makeDelivery(h.msg, domain),
+                                        h.tick, h.key);
             _mailboxed.fetch_sub(1, std::memory_order_relaxed);
         }
         mb.clearPending();
     }
-}
-
-void
-Network::deliverKeyed(const Handoff &h, unsigned domain)
-{
-    const unsigned idx = _topo.globalIndex(h.msg.dst);
-    Controller *dst = _controllers.at(idx);
-    if (dst == nullptr)
-        panic("message to unregistered controller %s",
-              h.msg.dst.toString().c_str());
-
-    DomainState &ds = _dom[domain];
-    ++ds.inFlight;
-    // Handoffs never batch and never open a batch slot: their band-1
-    // key pins their place in the delivery order, and a later local
-    // send must not append behind that key.
-    DeliverEvent *b = ds.pool.acquire();
-    b->_net = this;
-    b->_dst = dst;
-    b->_dstIdx = idx;
-    b->_domIdx = domain;
-    b->append(h.msg, ds.arena);
-    _eqs[domain]->scheduleKeyed(b, h.tick, h.key);
 }
 
 Network::LinkOccupancy
@@ -408,7 +318,7 @@ Network::interOccupancy(const MachineID &src, unsigned dst_cmp) const
     o.now = _eqs[sd]->curTick();
     if (!_p.modelBandwidth || src.cmp == dst_cmp)
         return o;
-    const Link &l = interLink(src.cmp, dst_cmp, sd);
+    const Link &l = interLink(src.cmp, dst_cmp);
     o.busyTicks = l.busy;
     o.backlog = l.nextFree > o.now ? l.nextFree - o.now : 0;
     return o;
@@ -429,24 +339,6 @@ Network::totalMessages() const
     std::uint64_t sum = 0;
     for (const DomainState &d : _dom)
         sum += d.totalMsgs;
-    return sum;
-}
-
-std::uint64_t
-Network::deliveryWakeups() const
-{
-    std::uint64_t sum = 0;
-    for (const DomainState &d : _dom)
-        sum += d.wakeups;
-    return sum;
-}
-
-std::uint64_t
-Network::batchedMessages() const
-{
-    std::uint64_t sum = 0;
-    for (const DomainState &d : _dom)
-        sum += d.batched;
     return sum;
 }
 
@@ -475,8 +367,6 @@ Network::clearStats()
         for (auto &lvl : d.bytes)
             lvl.fill(0);
         d.totalMsgs = 0;
-        d.wakeups = 0;
-        d.batched = 0;
     }
     _handoffsTotal.store(0, std::memory_order_relaxed);
 }

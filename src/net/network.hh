@@ -17,44 +17,34 @@
  * plus the destination's memory link. Bandwidth is modeled per link with
  * store-and-forward serialization, producing queueing under load.
  *
- * Delivery is a first-class pooled DeliverEvent: no closure or heap
- * allocation per hop, and messages bound for the same controller at the
- * same tick are batched into one wakeup. Batching is order-preserving:
- * a message joins an open batch only when nothing else was scheduled on
- * the event queue since the batch's last append, so the global
- * (tick, seq) delivery order — and therefore every simulation outcome —
- * is bit-identical to unbatched per-message delivery.
+ * Delivery is a first-class pooled DeliverEvent: one event per
+ * message, with no closure or heap allocation per hop. A domain's
+ * messages to one controller for the same tick therefore deliver in
+ * send order, interleaved with other same-tick events by their
+ * (tick, seq) place in the queue.
  *
  * Sharded delivery (shard()): when the System runs the sharded kernel,
- * the machine decomposes into shard *domains* under an arbitrary
- * controller-to-domain map (per CMP, per L1 bank, or explicit — see
- * SystemConfig::shardMap). Each domain owns an EventQueue and one
- * DomainState (delivery pool, open batches' side, traffic counters),
- * so domains share no mutable state inside a window. Same-domain
- * messages deliver exactly as in serial mode; a cross-domain message
- * is computed to its final arrival tick on source-owned links, stamped
- * with a canonical band-1 key (source domain, send sequence), and
- * handed to the destination domain through a per-(src, dst)
- * FlipMailbox. The destination drains its inboxes at the window
- * boundary and schedules each handoff unbatched at its key, so the
- * delivery order is independent of worker count.
+ * every CMP is one shard *domain* with its own EventQueue and
+ * DomainState (delivery pool, traffic counters), so domains share no
+ * mutable state inside a window. Same-domain messages deliver exactly
+ * as in serial mode; a cross-domain message is computed to its final
+ * arrival tick on source-owned links, stamped with a canonical band-1
+ * key (source domain, send sequence), and handed to the destination
+ * domain through a per-(src, dst) FlipMailbox. The destination drains
+ * its inboxes at the window boundary and schedules each handoff at its
+ * key, so the delivery order is independent of worker count.
  *
- * Because a sub-CMP map places several domains on one chip, each
- * directed inter-CMP link splits into *per-source-domain virtual
- * channels*: one Link occupancy record per (src CMP, dst CMP, src
- * domain), so co-located domains never serialize through — or race
- * on — a shared occupancy word. Each virtual channel sees the full
- * link bandwidth (the standard conservative-PDES decomposition
- * compromise); with one domain per CMP, or in serial mode, exactly one
- * channel per link exists and the model is unchanged. Under this
- * regime every link's occupancy is touched by exactly one domain and
- * the execution is deterministic for any worker count.
+ * Every directed inter-CMP link belongs to its source CMP, so it has
+ * one occupancy record in both modes. A CMP's memory ingress link is
+ * the one link several CMPs feed: in sharded mode it splits into one
+ * channel per source CMP (each with the full link bandwidth), so a
+ * remote sender still owns the whole path to memory and every link's
+ * occupancy is touched by exactly one domain.
  *
- * The minimum latency between each ordered pair of domains forms the
- * *lookahead matrix* the sharded kernel windows on: 2 ns between
- * domains sharing a chip, 20 ns chip-to-chip, 22/40 ns through memory
- * links — so the conservative window only shrinks to 2 ns for pairs
- * that actually share a crossbar.
+ * The minimum latency between each ordered pair of CMPs forms the
+ * *lookahead matrix* the sharded kernel windows on: the 20 ns global
+ * link (or 40 ns through a memory link) plus the serialization of the
+ * smallest message the protocol vocabulary allows on that path.
  *
  * The network also owns the Figure 7 traffic accounting: bytes per
  * (level, traffic class), kept per domain and summed on read.
@@ -71,7 +61,6 @@
 
 #include "net/machine.hh"
 #include "net/message.hh"
-#include "net/msg_arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/sharded_kernel.hh"
 #include "sim/types.hh"
@@ -91,18 +80,6 @@ struct NetworkParams
     Tick memLinkLatency = ns(20);
     double memLinkBytesPerNs = 16.0;
     bool modelBandwidth = true;     //!< serialize on link bandwidth
-    bool batchDelivery = true;      //!< coalesce same-(dst,tick) bursts
-
-    /**
-     * Derive the sharded lookahead matrix from per-message-type
-     * minimum wire sizes: each link on a (src, dst) path contributes
-     * its latency plus the serialization of the smallest message the
-     * protocol vocabulary allows between those machine types (8-byte
-     * control vs 72-byte data), instead of latency alone. Widens every
-     * conservative window when bandwidth is modeled; no effect on
-     * serial runs or on message timing itself.
-     */
-    bool typeAwareLookahead = true;
 };
 
 /** Physical network levels for traffic accounting. */
@@ -112,16 +89,9 @@ enum class NetLevel : std::uint8_t { Intra, Inter, MemLink, NumLevels };
 const char *netLevelName(NetLevel l);
 
 /**
- * Pooled arrival event: one wakeup hands a batch of same-tick messages
- * to one controller.
- *
- * Batches are overwhelmingly singletons (the order-preserving join
- * condition is strict), so the first kInlineMsgs messages live inside
- * the event itself — the common delivery touches no storage beyond
- * the pooled event node. Larger batches spill into a block from the
- * owning domain's MsgArena; a block's capacity survives recycling
- * (like the vector it replaced), so steady-state delivery allocates
- * nothing.
+ * Pooled arrival event: hands one message to one controller. The
+ * message counts as in flight until the event is released, after
+ * delivery or when its queue drops it undelivered.
  */
 class DeliverEvent final : public Event
 {
@@ -134,27 +104,10 @@ class DeliverEvent final : public Event
   private:
     friend class Network;
 
-    static constexpr std::uint32_t kInlineMsgs = 2;
-
-    /** Append one message, spilling/growing through `arena`. */
-    void
-    append(const Msg &m, MsgArena &arena)
-    {
-        if (_count == _cap)
-            grow(arena);
-        _msgs[_count++] = m;
-    }
-
-    void grow(MsgArena &arena);
-
     Network *_net = nullptr;
     Controller *_dst = nullptr;
-    unsigned _dstIdx = 0;
-    unsigned _domIdx = 0;        //!< owning delivery domain
-    Msg *_msgs = _inline;        //!< _inline, or an arena block
-    std::uint32_t _count = 0;
-    std::uint32_t _cap = kInlineMsgs;
-    Msg _inline[kInlineMsgs];
+    unsigned _domain = 0;  //!< owning delivery domain
+    Msg _msg;
 };
 
 /**
@@ -175,17 +128,14 @@ class Network
     void registerController(Controller *c);
 
     /**
-     * Enter sharded-delivery mode under an arbitrary shard map:
-     * `domain_of[i]` is the shard domain of the controller with
-     * global index i (every value < `queues.size()`), and domain d
-     * delivers through `queues[d]`. Must be called before any
-     * traffic; `queues[0]` must be the queue the network was
-     * constructed with. Splits every inter-CMP link into per-source-
-     * domain virtual channels and computes the (src, dst) lookahead
+     * Enter sharded-delivery mode with one domain per CMP: CMP c's
+     * controllers deliver through `queues[c]`. Must be called before
+     * any traffic; `queues[0]` must be the queue the network was
+     * constructed with. Splits every memory ingress link into one
+     * channel per source CMP and computes the (src, dst) lookahead
      * matrix.
      */
-    void shard(const std::vector<EventQueue *> &queues,
-               const std::vector<unsigned> &domain_of);
+    void shard(const std::vector<EventQueue *> &queues);
 
     /** True once shard() has installed multiple domains. */
     bool sharded() const { return _eqs.size() > 1; }
@@ -195,10 +145,9 @@ class Network
     /**
      * Row-major numDomains()^2 (src, dst) lookahead matrix for the
      * sharded kernel ({noTick} in serial mode): entry (s, d) is the
-     * minimum latency of any message path from a controller in s to
-     * a controller in d (EventQueue::noTick when no such path
-     * exists). Intra-CMP pairs bottom out at the 2 ns crossbar
-     * latency, cross-CMP pairs at the 20 ns global link.
+     * minimum latency of any message path from a controller on CMP s
+     * to a controller on CMP d (EventQueue::noTick on the diagonal):
+     * the 20 ns global link plus the smallest serialization on it.
      */
     const std::vector<Tick> &lookaheadMatrix() const
     {
@@ -217,8 +166,8 @@ class Network
 
     /**
      * Drain `domain`'s flipped inboxes in canonical (source domain,
-     * send order) sequence: each handoff is enqueued unbatched at its
-     * band-1 key, so the delivery order is a pure function
+     * send order) sequence: each handoff is enqueued at its band-1
+     * key, so the delivery order is a pure function
      * of the execution — never of worker count or barrier timing.
      */
     void intakeMailboxes(unsigned domain);
@@ -235,19 +184,13 @@ class Network
     /** Total messages ever sent. */
     std::uint64_t totalMessages() const;
 
-    /** Delivery wakeups fired (<= totalMessages when batching). */
-    std::uint64_t deliveryWakeups() const;
-
-    /** Messages that rode an existing batch instead of a new event. */
-    std::uint64_t batchedMessages() const;
-
     /** Messages that crossed a shard mailbox (0 in serial mode). */
     std::uint64_t handoffs() const
     {
         return _handoffsTotal.load(std::memory_order_relaxed);
     }
 
-    /** Occupancy snapshot of one outbound inter-CMP virtual channel. */
+    /** Occupancy snapshot of one outbound inter-CMP link. */
     struct LinkOccupancy
     {
         Tick busyTicks = 0;  //!< cumulative serialization time
@@ -256,11 +199,10 @@ class Network
     };
 
     /**
-     * Occupancy of the outbound inter-CMP virtual channel
-     * src.cmp -> dst_cmp owned by `src`'s shard domain — the raw
-     * occupancy feed for bandwidth-adaptive performance policies.
-     * Deterministic under sharding: reads only link state the
-     * caller's own domain owns. Zeroes (with the current tick) when
+     * Occupancy of the outbound inter-CMP link src.cmp -> dst_cmp —
+     * the raw occupancy feed for bandwidth-adaptive performance
+     * policies. Deterministic under sharding: the link belongs to the
+     * caller's own domain. Zeroes (with the current tick) when
      * the CMPs coincide or bandwidth modeling is off.
      */
     LinkOccupancy interOccupancy(const MachineID &src,
@@ -284,7 +226,7 @@ class Network
   private:
     friend class DeliverEvent;
 
-    /** Occupancy of one serializing link (or virtual channel). */
+    /** Occupancy of one serializing link (or memory ingress channel). */
     struct Link
     {
         Tick nextFree = 0;
@@ -305,14 +247,9 @@ class Network
     struct DomainState
     {
         EventPool<DeliverEvent> pool;
-        MsgArena arena;  //!< batch spill blocks; outlives the pool's
-                         //!< events (see ~Network)
         std::uint64_t inFlight = 0;
         std::uint64_t totalMsgs = 0;
-        std::uint64_t wakeups = 0;
-        std::uint64_t batched = 0;
-        std::uint64_t sendSeq = 0;  //!< band-1 key source; snapshot-
-                                    //!< restored so replays reuse keys
+        std::uint64_t sendSeq = 0;  //!< band-1 key source
         std::array<std::array<std::uint64_t,
                               unsigned(TrafficClass::NumClasses)>,
                    unsigned(NetLevel::NumLevels)>
@@ -359,34 +296,31 @@ class Network
 
     void account(NetLevel level, const Msg &msg, unsigned domain);
 
-    /** Schedule delivery on `domain`'s queue (src == dst domain). */
-    void deliverLocal(const Msg &msg, Tick arrival, unsigned domain);
+    /**
+     * A pooled, in-flight delivery of `msg` owned by `domain`, ready
+     * for the caller to schedule on that domain's queue: in (tick,
+     * seq) order for a local send, at its band-1 key for a handoff.
+     */
+    DeliverEvent *makeDelivery(const Msg &msg, unsigned domain);
 
-    /** Schedule one handoff unbatched at its band-1 key (intake). */
-    void deliverKeyed(const Handoff &h, unsigned domain);
-
-    /** Domain that owns a controller under the installed shard map. */
+    /** Domain that owns a controller: its CMP when sharded. */
     unsigned
     domainOf(const MachineID &id) const
     {
-        return sharded() ? _ctrlDomain[_topo.globalIndex(id)] : 0;
+        return sharded() ? id.cmp : 0;
     }
 
-    /** Virtual channel of a directed inter-CMP link for one source
-     *  domain (the only channel in serial / one-domain-per-CMP use). */
+    /** The directed inter-CMP link scmp -> dcmp. */
     const Link &
-    interLink(unsigned scmp, unsigned dcmp, unsigned src_domain) const
+    interLink(unsigned scmp, unsigned dcmp) const
     {
-        return _interLinks[(scmp * _topo.numCmps + dcmp) * _numVC +
-                           src_domain];
+        return _interLinks[scmp * _topo.numCmps + dcmp];
     }
 
     Link &
-    interLink(unsigned scmp, unsigned dcmp, unsigned src_domain)
+    interLink(unsigned scmp, unsigned dcmp)
     {
-        return const_cast<Link &>(
-            static_cast<const Network *>(this)->interLink(
-                scmp, dcmp, src_domain));
+        return _interLinks[scmp * _topo.numCmps + dcmp];
     }
 
     FlipMailbox<Handoff> &
@@ -395,27 +329,27 @@ class Network
         return _mail[src * numDomains() + dst];
     }
 
-    /** Virtual channel of a CMP's memory ingress link for one source
-     *  domain — source-owned like the inter-CMP channels, so a sender
-     *  can finish the whole path (and know the final arrival tick) at
-     *  send time. */
+    /** Channel of a CMP's memory ingress link for one source domain
+     *  (the whole link in serial mode) — source-owned like the
+     *  inter-CMP links, so a sender can finish the whole path (and
+     *  know the final arrival tick) at send time. */
     Link &
     memIngressLink(unsigned cmp, unsigned src_domain)
     {
-        return _memIngress[cmp * _numVC + src_domain];
+        return _memIngress[cmp * numDomains() + src_domain];
     }
 
     /**
      * Minimum time any message can take between two controllers
      * (EventQueue::noTick for invalid pairs, e.g. mem-to-mem). Sums
-     * per-link latency; with typeAwareLookahead and modeled bandwidth
-     * it also adds each link's minimum serialization, derived from the
-     * smallest wire size the message vocabulary admits between the two
-     * machine types (minWireBytes).
+     * per-link latency; with modeled bandwidth it also adds each
+     * link's minimum serialization, derived from the smallest wire
+     * size the message vocabulary admits between the two machine
+     * types (minWireBytes).
      */
     Tick minPathDelta(const MachineID &src, const MachineID &dst) const;
 
-    /** Fill _lookahead from the shard map (called by shard()). */
+    /** Fill _lookahead over the CMP domains (called by shard()). */
     void buildLookaheadMatrix();
 
     Topology _topo;
@@ -427,19 +361,14 @@ class Network
     std::vector<Controller *> _controllers;       //!< by global index
     std::vector<Link> _intraPorts;                //!< per source port
     std::vector<Link> _intraGateways;             //!< inbound, per CMP
-    std::vector<Link> _interLinks;  //!< (src CMP, dst CMP) x src domain
+    std::vector<Link> _interLinks;  //!< (src CMP, dst CMP)
     std::vector<Link> _memEgress;   //!< mem -> CMP, per CMP
     std::vector<Link> _memIngress;  //!< CMP -> mem, per CMP x src domain
-
-    /** Latest still-open batch per destination controller. */
-    std::vector<DeliverEvent *> _open;
 
     std::vector<EventQueue *> _eqs;   //!< per-domain queues ({&_eq} serial)
     std::vector<DomainState> _dom;    //!< per-domain delivery state
     std::vector<FlipMailbox<Handoff>> _mail;  //!< numDomains^2 channels
-    std::vector<unsigned> _ctrlDomain;  //!< controller -> domain
     std::vector<Tick> _lookahead;       //!< numDomains^2 (src, dst)
-    unsigned _numVC = 1;  //!< virtual channels per inter-CMP link
 
     /** Handoffs pushed but not yet enqueued at a destination; relaxed
      *  increments/decrements from domain workers, read at barriers. */

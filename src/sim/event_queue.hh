@@ -176,9 +176,9 @@ class EventQueue
     std::uint64_t executed() const { return _executed; }
 
     /**
-     * Sequence number the next scheduled event will receive. Lets the
-     * network detect whether anything was scheduled between two sends
-     * (the condition for order-preserving delivery batching).
+     * Sequence number the next scheduled event will receive: the
+     * insertion counter that reset() rewinds to 0 and that
+     * scheduleKeyed() leaves untouched.
      */
     std::uint64_t nextSeq() const { return _nextSeq; }
 

@@ -193,9 +193,9 @@ ParamGrid::fromJsonText(const std::string &text,
 
     grid._maps = stringArray(g, "shardMaps", {"serial"}, what);
     for (const std::string &m : grid._maps) {
-        if (m != "serial" && m != "perCmp" && m != "perL1Bank") {
+        if (m != "serial" && m != "perCmp") {
             fatal("sweep grid %s: unknown shardMap '%s' (serial, "
-                  "perCmp, perL1Bank)", what.c_str(), m.c_str());
+                  "perCmp)", what.c_str(), m.c_str());
         }
     }
 
@@ -400,13 +400,8 @@ ParamGrid::configFor(const SweepCell &cell) const
     cfg.workloadName = cell.workload;
     cfg.workloadParams = _wl;
 
-    if (cell.shardMap == "perCmp") {
+    if (cell.shardMap == "perCmp")
         cfg.shards = _shardWorkers;
-        cfg.shardMap.kind = ShardMapKind::PerCmp;
-    } else if (cell.shardMap == "perL1Bank") {
-        cfg.shards = _shardWorkers;
-        cfg.shardMap.kind = ShardMapKind::PerL1Bank;
-    }
 
     for (const KnobOverride &o : _overrides) {
         if (o.label != cell.overrideLabel)

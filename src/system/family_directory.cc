@@ -29,8 +29,8 @@ class DirectoryFamily : public ProtocolBuilder
             _globals->store.setThreadSafe(true);
         }
 
-        // Each controller runs in its shard domain under
-        // cfg.shardMap (one shared domain in serial mode).
+        // Each controller runs in its CMP's shard domain (one shared
+        // domain in serial mode).
         for (unsigned c = 0; c < t.numCmps; ++c) {
             for (unsigned p = 0; p < t.procsPerCmp; ++p) {
                 auto d = std::make_unique<DirL1>(

@@ -41,10 +41,11 @@ class HierFamily : public ProtocolBuilder
                 cfg.token, cfg.audit));
         }
         if (cfg.shards > 0) {
-            // A CMP's L1 domains and its uncore domain (PerL1Bank map)
-            // mutate that CMP's globals concurrently, and home memory
-            // controllers on different domains insert into the shared
-            // functional store concurrently.
+            // Home memory controllers on different domains insert into
+            // the shared functional store concurrently. A CMP's token
+            // globals are touched only by that CMP's domain; they are
+            // guarded all the same, like the token family's shared
+            // globals.
             for (auto &tg : _tokenGlobals)
                 tg->enableConcurrent(t.numProcs());
             _dirGlobals->store.setThreadSafe(true);

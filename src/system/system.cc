@@ -16,14 +16,9 @@ System::System(const SystemConfig &cfg) : _cfg(cfg)
               "it cannot run on the sharded kernel");
     }
 
-    // The shard map fixes the domain decomposition (per CMP by
-    // default, per L1 bank, or explicit), so results are independent
-    // of how many worker threads (cfg.shards) drive the domains.
-    unsigned domains = 1;
-    if (sharded) {
-        _domainOf = _cfg.shardMap.domainTable(_cfg.topo);
-        domains = _cfg.shardMap.numDomains(_cfg.topo);
-    }
+    // One domain per CMP fixes the decomposition, so results are
+    // independent of how many worker threads (cfg.shards) drive it.
+    const unsigned domains = sharded ? _cfg.topo.numCmps : 1;
     for (unsigned d = 0; d < domains; ++d) {
         auto ctx = std::make_unique<SimContext>();
         ctx->eventq.setKind(_cfg.scheduler);
@@ -41,7 +36,7 @@ System::System(const SystemConfig &cfg) : _cfg(cfg)
         queues.reserve(_ctxs.size());
         for (auto &ctx : _ctxs)
             queues.push_back(&ctx->eventq);
-        _net->shard(queues, _domainOf);
+        _net->shard(queues);
     }
     for (auto &ctx : _ctxs)
         ctx->net = _net.get();

@@ -252,6 +252,86 @@ TEST(Network, TrafficAccountingByLevelAndClass)
     EXPECT_EQ(f.net->bytesByLevel(NetLevel::Intra), 0u);
 }
 
+TEST(Network, SameTickMessagesToOneControllerArriveInSendOrder)
+{
+    // Three sources on one chip each own an intra port, so control
+    // messages sent at tick 0 all reach the L2 bank at 2.125 ns. A
+    // closure scheduled for that tick between the first and second
+    // send must run between their deliveries: every message is its
+    // own event in (tick, seq) order.
+    NetFixture f;
+    const Topology &t = f.ctx.topo;
+    const MachineID dst = t.l2(0, 0);
+    const Tick arrival = ns(2) + 125;
+    auto sendFrom = [&](unsigned proc, Addr addr) {
+        Msg m;
+        m.type = MsgType::GetS;
+        m.addr = addr;
+        m.dst = dst;
+        f.sink(t.l1d(0, proc)).testSend(m);
+    };
+    auto &arr = f.sink(dst).arrivals;
+    std::size_t seen_by_closure = ~std::size_t(0);
+
+    sendFrom(0, 0x1000);
+    f.ctx.eventq.scheduleAbs(arrival, [&] {
+        seen_by_closure = arr.size();
+    });
+    sendFrom(1, 0x2000);
+    sendFrom(2, 0x3000);
+    f.ctx.eventq.run();
+
+    ASSERT_EQ(arr.size(), 3u);
+    for (const auto &a : arr)
+        EXPECT_EQ(a.first, arrival);
+    EXPECT_EQ(arr[0].second.addr, 0x1000u);
+    EXPECT_EQ(arr[1].second.addr, 0x2000u);
+    EXPECT_EQ(arr[2].second.addr, 0x3000u);
+    EXPECT_EQ(seen_by_closure, 1u);
+}
+
+TEST(Network, InFlightCountsUntilDeliveredOrDropped)
+{
+    NetFixture f;
+    const Topology &t = f.ctx.topo;
+    Msg m;
+    m.type = MsgType::GetS;
+    m.addr = 0x1000;
+    auto send3 = [&] {
+        for (unsigned c = 1; c < 4; ++c) {
+            m.dst = t.l1d(c, 0);
+            f.sink(t.l1d(0, 0)).testSend(m);
+        }
+    };
+    auto delivered = [&] {
+        std::size_t n = 0;
+        for (unsigned c = 1; c < 4; ++c)
+            n += f.sink(t.l1d(c, 0)).arrivals.size();
+        return n;
+    };
+
+    EXPECT_EQ(f.net->inFlight(), 0u);
+    send3();
+    EXPECT_EQ(f.net->inFlight(), 3u);
+    f.ctx.eventq.run();
+    EXPECT_EQ(delivered(), 3u);
+    EXPECT_EQ(f.net->inFlight(), 0u);
+
+    // Dropped undelivered: the count still returns to zero, and the
+    // recycled events deliver normally afterwards.
+    send3();
+    EXPECT_EQ(f.net->inFlight(), 3u);
+    f.ctx.eventq.releaseAll();
+    EXPECT_EQ(f.net->inFlight(), 0u);
+    EXPECT_EQ(delivered(), 3u);
+
+    send3();
+    f.ctx.eventq.run();
+    EXPECT_EQ(delivered(), 6u);
+    EXPECT_EQ(f.net->inFlight(), 0u);
+    EXPECT_EQ(f.net->totalMessages(), 9u);
+}
+
 TEST(Network, SelfSendPanics)
 {
     NetFixture f;

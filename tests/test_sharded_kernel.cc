@@ -11,19 +11,19 @@
  * the virtual-channel merge order exactly, cross-checked between the
  * TimingWheel and ReferenceHeap backends.
  *
- * System level: fixed-seed full-machine runs (token and directory
- * protocols) must produce bit-identical statistics for every
- * `shards` worker count under every shard map (per CMP, per L1 bank,
- * explicit), with the serial ReferenceHeap kernel as the ordering
- * oracle for the sharded wheel. Different shard maps are *distinct*
- * deterministic executions (different domain decompositions, RNG
- * streams and window boundaries); the bit-identical contract is
- * per (kernel, shardMap).
+ * System level: fixed-seed full-machine runs (token, directory and
+ * hier protocols) on the per-CMP shard domains must produce
+ * bit-identical statistics for every `shards` worker count, with the
+ * ReferenceHeap backend as the ordering oracle for the sharded wheel.
+ * The sharded kernel is a *distinct* deterministic execution from the
+ * serial one (different RNG streams and window boundaries); the
+ * bit-identical contract is per kernel.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <tuple>
@@ -576,48 +576,15 @@ struct RunSummary
     std::map<std::string, double> stats;
 };
 
-/** An explicit map distinct from both built-ins: two domains per CMP
- *  (first half of the processors + the uncore, second half alone). */
-ShardMap
-halfCmpMap(const Topology &t)
-{
-    ShardMap m;
-    m.kind = ShardMapKind::Explicit;
-    m.domainOf.assign(t.numControllers(), 0);
-    for (unsigned c = 0; c < t.numCmps; ++c) {
-        for (unsigned p = 0; p < t.procsPerCmp; ++p) {
-            const unsigned d = 2 * c + (p >= t.procsPerCmp / 2 ? 1 : 0);
-            m.domainOf[t.globalIndex(t.l1d(c, p))] = d;
-            m.domainOf[t.globalIndex(t.l1i(c, p))] = d;
-        }
-        for (unsigned b = 0; b < t.l2BanksPerCmp; ++b)
-            m.domainOf[t.globalIndex(t.l2(c, b))] = 2 * c;
-        m.domainOf[t.globalIndex(t.mem(c))] = 2 * c;
-    }
-    return m;
-}
-
-ShardMap
-mapFor(const Topology &t, ShardMapKind kind)
-{
-    if (kind == ShardMapKind::Explicit)
-        return halfCmpMap(t);
-    ShardMap m;
-    m.kind = kind;
-    return m;
-}
-
 RunSummary
 runSystem(Protocol proto, unsigned shards, SchedulerKind sched,
-          std::uint64_t seed,
-          ShardMapKind map_kind = ShardMapKind::PerCmp)
+          std::uint64_t seed)
 {
     SystemConfig cfg;
     cfg.protocol = proto;
     cfg.seed = seed;
     cfg.shards = shards;
     cfg.scheduler = sched;
-    cfg.shardMap = mapFor(cfg.topo, map_kind);
     cfg.finalize();
 
     SyntheticParams p = oltpParams();
@@ -650,158 +617,128 @@ expectSameRun(const RunSummary &a, const RunSummary &b,
 }
 
 class ShardSweep
-    : public ::testing::TestWithParam<
-          std::tuple<Protocol, ShardMapKind, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<Protocol, unsigned>>
 {};
 
 TEST_P(ShardSweep, StatsBitIdenticalAcrossWorkerCounts)
 {
     const Protocol proto = std::get<0>(GetParam());
-    const ShardMapKind map = std::get<1>(GetParam());
-    const unsigned shards = std::get<2>(GetParam());
+    const unsigned shards = std::get<1>(GetParam());
 
     // Worker-count invariance: shards=1 is the canonical sharded
-    // execution for this map; more workers only change the thread
-    // mapping.
+    // execution; more workers only change the thread mapping.
     const RunSummary base =
-        runSystem(proto, 1, SchedulerKind::TimingWheel, 11, map);
+        runSystem(proto, 1, SchedulerKind::TimingWheel, 11);
     ASSERT_TRUE(base.completed);
     EXPECT_EQ(base.violations, 0u);
 
     const RunSummary run =
-        runSystem(proto, shards, SchedulerKind::TimingWheel, 11, map);
+        runSystem(proto, shards, SchedulerKind::TimingWheel, 11);
     expectSameRun(run, base,
-                  std::string(protocolName(proto)) + " map=" +
-                      shardMapKindName(map) + " shards=" +
+                  std::string(protocolName(proto)) + " shards=" +
                       std::to_string(shards));
 }
 
 TEST_P(ShardSweep, ReferenceHeapOracleMatchesWheel)
 {
     const Protocol proto = std::get<0>(GetParam());
-    const ShardMapKind map = std::get<1>(GetParam());
-    const unsigned shards = std::get<2>(GetParam());
+    const unsigned shards = std::get<1>(GetParam());
 
     // The ReferenceHeap ordering oracle kept from the kernel overhaul:
     // per-shard wheels must order identically to per-shard heaps.
     const RunSummary wheel =
-        runSystem(proto, shards, SchedulerKind::TimingWheel, 23, map);
+        runSystem(proto, shards, SchedulerKind::TimingWheel, 23);
     const RunSummary heap =
-        runSystem(proto, shards, SchedulerKind::ReferenceHeap, 23,
-                  map);
+        runSystem(proto, shards, SchedulerKind::ReferenceHeap, 23);
     expectSameRun(wheel, heap,
-                  std::string(protocolName(proto)) + " oracle map=" +
-                      shardMapKindName(map) + " shards=" +
+                  std::string(protocolName(proto)) + " oracle shards=" +
                       std::to_string(shards));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ProtocolsByMapByShards, ShardSweep,
+    ProtocolsByShards, ShardSweep,
     ::testing::Combine(::testing::Values(Protocol::TokenDst1,
                                          Protocol::DirectoryCMP,
                                          Protocol::HierCMP),
-                       ::testing::Values(ShardMapKind::PerCmp,
-                                         ShardMapKind::PerL1Bank,
-                                         ShardMapKind::Explicit),
                        ::testing::Values(1u, 2u, 4u, 8u)),
     [](const auto &info) {
         std::string name(protocolName(std::get<0>(info.param)));
-        name += std::string("_") +
-                shardMapKindName(std::get<1>(info.param));
         for (char &c : name) {
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';
         }
         return name + "_shards" +
-               std::to_string(std::get<2>(info.param));
+               std::to_string(std::get<1>(info.param));
     });
 
 TEST(ShardedSystem, SerialAndShardedAgreeSemantically)
 {
     // The serial kernel and the sharded kernel order same-tick
-    // cross-domain events differently — and each shardMap is its own
-    // deterministic execution — so per-run timing statistics may
-    // legitimately diverge; the semantic outcome must not.
+    // cross-domain events differently, so per-run timing statistics
+    // may legitimately diverge; the semantic outcome must not.
     for (Protocol proto :
          {Protocol::TokenDst1, Protocol::DirectoryCMP,
           Protocol::HierCMP}) {
         const RunSummary serial =
             runSystem(proto, 0, SchedulerKind::ReferenceHeap, 31);
-        for (ShardMapKind map :
-             {ShardMapKind::PerCmp, ShardMapKind::PerL1Bank,
-              ShardMapKind::Explicit}) {
-            const RunSummary sharded = runSystem(
-                proto, 4, SchedulerKind::TimingWheel, 31, map);
-            EXPECT_TRUE(serial.completed);
-            EXPECT_TRUE(sharded.completed) << shardMapKindName(map);
-            EXPECT_EQ(serial.violations, 0u);
-            EXPECT_EQ(sharded.violations, 0u) << shardMapKindName(map);
-        }
+        const RunSummary sharded =
+            runSystem(proto, 4, SchedulerKind::TimingWheel, 31);
+        EXPECT_TRUE(serial.completed);
+        EXPECT_TRUE(sharded.completed) << protocolName(proto);
+        EXPECT_EQ(serial.violations, 0u);
+        EXPECT_EQ(sharded.violations, 0u) << protocolName(proto);
     }
 }
 
-TEST(ShardedSystem, TypeAwareLookaheadShrinksWindowCountSoundly)
+TEST(ShardedSystem, LookaheadMatrixAddsMinimumSerialization)
 {
-    // The per-message-type serialization floor widens every lookahead
-    // matrix entry (every link's minimum shape still serializes for >=
-    // the 8-byte control time), so the same simulated work must need
-    // strictly fewer window-barrier rounds than the latency-only
-    // bound — while still completing and keeping the workload's
-    // invariants (an unsound, too-wide bound would deliver into a
-    // shard's past and panic, or corrupt the lock protocol).
-    auto windowsWith = [](bool type_aware) {
-        SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.seed = 11;
-        cfg.shards = 2;
-        // The finest shard map: its windows are bounded by the
-        // intra-CMP entries, which the serialization floor widens the
-        // most in relative terms (2 ns -> 2.125 ns).
-        cfg.shardMap.kind = ShardMapKind::PerL1Bank;
-        cfg.net.typeAwareLookahead = type_aware;
-        cfg.finalize();
+    // Every message between two CMPs crosses the inter-CMP link, and
+    // with bandwidth modeled it serializes onto that link before the
+    // link latency starts; paths through a memory controller add a
+    // 20 ns memory link on top. So each off-diagonal entry of the
+    // per-CMP matrix is the link latency plus the serialization of
+    // the smallest wire size minWireBytes admits between two caches.
+    SystemConfig cfg;
+    cfg.protocol = Protocol::TokenDst1;
+    cfg.seed = 11;
+    cfg.shards = 2;
+    cfg.finalize();
 
-        SyntheticParams p = oltpParams();
-        p.opsPerProc = 40;
-        SyntheticWorkload wl(p);
+    unsigned min_bytes = kDataBytes;
+    const MachineType caches[] = {MachineType::L1D, MachineType::L1I,
+                                  MachineType::L2Bank};
+    for (MachineType a : caches) {
+        for (MachineType b : caches)
+            min_bytes = std::min(min_bytes, minWireBytes(a, b));
+    }
+    const Tick ser = Tick(std::llround(double(min_bytes) *
+                                       double(ticksPerNs) /
+                                       cfg.net.interBytesPerNs));
+    EXPECT_GT(ser, 0u);
 
-        System sys(cfg);
-        System::RunResult r = sys.run(wl);
-        EXPECT_TRUE(r.completed) << "typeAware=" << type_aware;
-        EXPECT_EQ(r.violations, 0u) << "typeAware=" << type_aware;
-        EXPECT_GT(sys.shardedWindows(), 0u);
-        return sys.shardedWindows();
-    };
+    System sys(cfg);
+    const std::vector<Tick> &matrix = sys.context().net->lookaheadMatrix();
+    const unsigned n = cfg.topo.numCmps;
+    ASSERT_EQ(sys.numDomains(), n);
+    ASSERT_EQ(matrix.size(), std::size_t(n) * n);
+    for (unsigned s = 0; s < n; ++s) {
+        for (unsigned d = 0; d < n; ++d) {
+            const Tick expected = s == d ? EventQueue::noTick
+                                         : cfg.net.interLatency + ser;
+            EXPECT_EQ(matrix[s * n + d], expected)
+                << "lookahead(" << s << ", " << d << ")";
+        }
+    }
 
-    const std::uint64_t type_aware = windowsWith(true);
-    const std::uint64_t latency_only = windowsWith(false);
-    EXPECT_LT(type_aware, latency_only);
-    std::printf("[          ] window rounds: type-aware=%llu "
-                "latency-only=%llu\n",
-                static_cast<unsigned long long>(type_aware),
-                static_cast<unsigned long long>(latency_only));
-}
-
-TEST(ShardMapDeathTest, InvalidExplicitMapsPanic)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    Topology t;
-
-    ShardMap wrong_size;
-    wrong_size.kind = ShardMapKind::Explicit;
-    wrong_size.domainOf.assign(3, 0);
-    EXPECT_DEATH(wrong_size.domainTable(t), "domain assignments");
-
-    ShardMap gap = halfCmpMap(t);
-    for (unsigned &d : gap.domainOf)
-        d *= 2;  // every odd domain empty
-    EXPECT_DEATH(gap.domainTable(t), "empty");
-
-    ShardMap split = halfCmpMap(t);
-    // Separate one L1I from its L1D partner.
-    split.domainOf[t.globalIndex(t.l1i(0, 0))] =
-        split.domainOf[t.globalIndex(t.l1d(0, 0))] + 1;
-    EXPECT_DEATH(split.domainTable(t), "L1 I/D pair");
+    // The bound is sound: a too-wide entry would deliver into a
+    // shard's past and panic, or corrupt the workload's invariants.
+    SyntheticParams p = oltpParams();
+    p.opsPerProc = 40;
+    SyntheticWorkload wl(p);
+    const System::RunResult r = sys.run(wl);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.violations, 0u);
+    EXPECT_GT(sys.shardedWindows(), 0u);
 }
 
 } // namespace
