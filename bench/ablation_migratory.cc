@@ -27,7 +27,7 @@ runWith(Protocol proto, bool migratory, const WorkloadFactory &factory,
     cfg.token.migratory = migratory;
     cfg.dir.migratory = migratory;
     return runExperiment(cfg, factory,
-                         std::string(protocolName(proto)) + "/" +
+                         protocolName(proto) + "/" +
                              wl_name +
                              (migratory ? "/migratory-on"
                                         : "/migratory-off"));
@@ -72,10 +72,10 @@ main(int argc, char **argv)
                 runWith(proto, false, factory, name);
             if (!on.allCompleted || !off.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s\n",
-                             protocolName(proto));
+                             protocolName(proto).c_str());
                 return 1;
             }
-            printRow(std::string(protocolName(proto)) + "/" + name,
+            printRow(protocolName(proto) + "/" + name,
                      {on.runtime.mean() / double(ticksPerNs),
                       off.runtime.mean() / double(ticksPerNs),
                       off.runtime.mean() / on.runtime.mean()},

@@ -219,7 +219,7 @@ runExperiment(const SystemConfig &cfg, const WorkloadFactory &factory,
 
 /** Run one (protocol, workload) cell with default Table 3 config. */
 inline ExperimentResult
-runCell(Protocol proto, const WorkloadFactory &factory,
+runCell(const std::string &proto, const WorkloadFactory &factory,
         const std::string &label = "", unsigned seeds = 0)
 {
     SystemConfig cfg;

@@ -32,6 +32,13 @@ gating — a laptop or container cannot hold a many-core runner's
 parallel throughput. msgsPerMiss cells still gate: they are
 simulation counts, identical on any runner.
 
+--exact NAME... is the strict mode for benches whose records are pure
+simulation counts over fixed seeds (fig6_macro_runtime, fig7_traffic
+and workload_sweep at TOKENCMP_SEEDS=2): the current BENCH_<name>.json
+must equal its baseline apart from the "meta" provenance block, cell
+for cell and field for field. A renamed, added or dropped label fails
+here, as does a drift in either direction, however small.
+
 A machine-readable diff is written to --out for upload as a CI
 artifact, whether or not the gate trips.
 
@@ -46,6 +53,9 @@ Usage:
       --out build/bench_regression_diff.json \
       [--tolerance 0.15] \
       [--benches kernel_throughput sharded_throughput fig7_traffic]
+
+  python3 bench/check_regression.py --benches \
+      --exact fig6_macro_runtime fig7_traffic workload_sweep
 """
 
 import argparse
@@ -171,6 +181,62 @@ def compare(name, baseline_dir, current_dir, tolerance,
     return result
 
 
+def compare_exact(name, baseline_dir, current_dir):
+    """Require BENCH_<name>.json to equal its baseline apart from meta."""
+    base_path = os.path.join(baseline_dir, name + ".json")
+    cur_path = os.path.join(current_dir, "BENCH_" + name + ".json")
+    result = {"bench": "exact:" + name, "cells": [], "failures": [],
+              "warnings": []}
+    for path in (base_path, cur_path):
+        if not os.path.exists(path):
+            result["failures"].append(f"missing record: {path}")
+            return result
+
+    with open(base_path) as f:
+        base = json.load(f)
+    with open(cur_path) as f:
+        cur = json.load(f)
+    base.pop("meta", None)
+    cur.pop("meta", None)
+
+    for key in sorted(set(base) | set(cur)):
+        if key != "cells" and base.get(key) != cur.get(key):
+            result["failures"].append(
+                f"exact {name}: top-level '{key}' differs")
+    base_cells = {c["label"]: c for c in base.get("cells", [])
+                  if c.get("label")}
+    cur_cells = {c["label"]: c for c in cur.get("cells", [])
+                 if c.get("label")}
+    for label in sorted(set(base_cells) | set(cur_cells)):
+        bcell = base_cells.get(label)
+        ccell = cur_cells.get(label)
+        if bcell == ccell:
+            verdict = "equal"
+        elif ccell is None:
+            verdict = "missing"
+        elif bcell is None:
+            verdict = "added"
+        else:
+            verdict = "changed"
+            fields = sorted(k for k in set(bcell) | set(ccell)
+                            if bcell.get(k) != ccell.get(k))
+            result["failures"].append(
+                f"exact {name}/{label}: fields {', '.join(fields)} "
+                f"differ from baseline")
+        if verdict in ("missing", "added"):
+            result["failures"].append(
+                f"exact {name}/{label}: {verdict} against baseline")
+        result["cells"].append({"label": label, "verdict": verdict})
+    if base != cur and not result["failures"]:
+        result["failures"].append(
+            f"exact {name}: cells differ in order, or in unlabeled or "
+            f"duplicate-label cells")
+    equal = sum(1 for e in result["cells"] if e["verdict"] == "equal")
+    result["summary"] = {"equalCells": equal,
+                         "cells": len(result["cells"])}
+    return result
+
+
 def compare_sweep(name, baseline_dir, current_dir, tolerance):
     """Gate one SWEEP_<name>.json merged sweep report.
 
@@ -287,6 +353,9 @@ def main():
                          "compare <current-dir>/SWEEP_NAME.json "
                          "marginals against bench/baselines/NAME.json "
                          "(fingerprint-matched)")
+    ap.add_argument("--exact", nargs="*", default=[], metavar="BENCH",
+                    help="benches whose BENCH_<name>.json must equal "
+                         "the baseline apart from 'meta'")
     args = ap.parse_args()
 
     diff = {"tolerance": args.tolerance, "benches": [], "ok": True}
@@ -305,6 +374,11 @@ def main():
         diff["benches"].append(result)
         failures.extend(result["failures"])
         warnings.extend(result["warnings"])
+    for name in args.exact:
+        result = compare_exact(name, args.baseline_dir,
+                               args.current_dir)
+        diff["benches"].append(result)
+        failures.extend(result["failures"])
 
     diff["ok"] = not failures
     if args.out:
@@ -330,7 +404,10 @@ def main():
 
     for result in diff["benches"]:
         s = result.get("summary")
-        if s:
+        if s and "equalCells" in s:
+            print(f"  ---- {result['bench']}: {s['equalCells']}/"
+                  f"{s['cells']} cell(s) equal to baseline")
+        elif s:
             print(f"  ---- {result['bench']}: mean old->new delta "
                   f"{s['meanChange']:+.1%} over {s['gatedCells']} "
                   f"gated cell(s)")

@@ -64,11 +64,11 @@ main(int argc, char **argv)
         for (unsigned locks : lock_counts) {
             const ExperimentResult e =
                 runCell(proto, factory(locks),
-                        std::string(protocolName(proto)) + "@" +
+                        protocolName(proto) + "@" +
                             std::to_string(locks));
             if (!e.allCompleted || e.violations != 0) {
                 std::fprintf(stderr, "FAILED: %s @%u locks\n",
-                             protocolName(proto), locks);
+                             protocolName(proto).c_str(), locks);
                 return 1;
             }
             vals.push_back(e.runtime.mean() / base_rt);

@@ -52,7 +52,8 @@ main(int argc, char **argv)
             const ExperimentResult e = runCell(proto, factory);
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s on %s\n",
-                             protocolName(proto), wl.label.c_str());
+                             protocolName(proto).c_str(),
+                             wl.label.c_str());
                 return 1;
             }
             const double rt = e.runtime.mean();

@@ -52,7 +52,7 @@ printLevel(const char *title, NetLevel level,
         std::printf(" %9.9s", trafficClassName(c));
     std::printf(" %9s\n", "TOTAL");
     for (const auto &[proto, e] : cells) {
-        std::printf("%-22s", protocolName(proto));
+        std::printf("%-22s", protocolName(proto).c_str());
         double total = 0.0;
         for (TrafficClass c : kClasses) {
             const double b = classBytes(e, level, c);
@@ -81,10 +81,8 @@ policySweep(JsonReport &report)
     const std::vector<std::string> names =
         PolicyRegistry::instance().names();
 
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
     const std::vector<ExperimentResult> cells =
-        Experiment::of(cfg)
+        Experiment::of(SystemConfig{})
             .workload(factory)
             .seeds(seedsPerPoint())
             .parallelism(defaultParallelism())
@@ -206,7 +204,7 @@ main(int argc, char **argv)
         for (const auto &[proto, e] : cells) {
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s\n",
-                             protocolName(proto));
+                             protocolName(proto).c_str());
                 return 1;
             }
         }

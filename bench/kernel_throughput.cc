@@ -47,12 +47,12 @@ secondsSince(Clock::time_point start)
 class SeedClosureHeapQueue
 {
   public:
-    using Action = std::function<void()>;
+    using Closure = std::function<void()>;
 
     Tick curTick() const { return _curTick; }
 
     void
-    schedule(Tick delay, Action action)
+    schedule(Tick delay, Closure action)
     {
         _heap.push(Entry{_curTick + delay, _nextSeq++,
                          std::move(action)});
@@ -74,7 +74,7 @@ class SeedClosureHeapQueue
     {
         Tick when;
         std::uint64_t seq;
-        Action action;
+        Closure action;
     };
     struct Later
     {

@@ -59,13 +59,14 @@ main(int argc, char **argv)
     for (Protocol proto : protos) {
         const ExperimentResult f =
             runCell(proto, factory(0),
-                    std::string(protocolName(proto)) + "/fixed");
+                    protocolName(proto) + "/fixed");
         const ExperimentResult v =
             runCell(proto, factory(ns(1000)),
-                    std::string(protocolName(proto)) + "/jitter");
+                    protocolName(proto) + "/jitter");
         if (!f.allCompleted || !v.allCompleted ||
             f.violations + v.violations != 0) {
-            std::fprintf(stderr, "FAILED: %s\n", protocolName(proto));
+            std::fprintf(stderr, "FAILED: %s\n",
+                         protocolName(proto).c_str());
             return 1;
         }
         printRow(protocolName(proto),

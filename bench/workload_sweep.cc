@@ -109,9 +109,11 @@ main(int argc, char **argv)
            "broadcast dst1 on inter-CMP bytes/miss under zipf hot-key "
            "traffic; the gap narrows on mostly-private mixes");
 
-    const std::vector<std::string> policies = {
-        "dst1", "dst4", "dst1-pred", "dst-owner", "dst-group",
-        "bw-adapt"};
+    // The directory baseline, the hierarchical family (directory
+    // between CMPs, tokens within), then the token policies.
+    const std::vector<std::string> protocols = {
+        "directory", "hier",      "dst1",     "dst4",
+        "dst1-pred", "dst-owner", "dst-group", "bw-adapt"};
 
     bool gate_ok = false;
     bool gate_seen = false;
@@ -121,51 +123,14 @@ main(int argc, char **argv)
                     "msgs/miss", "interB/miss", "intraB/miss",
                     "runtime(ns)");
 
-        // Directory baseline through the same registry-named path.
-        SystemConfig dir_cfg;
-        dir_cfg.protocol = Protocol::DirectoryCMP;
-        dir_cfg.workloadName = spec.name;
-        dir_cfg.workloadParams = spec.knobs;
-        const ExperimentResult dir_cell =
-            Experiment::of(dir_cfg)
-                .seeds(seedsPerPoint())
-                .parallelism(defaultParallelism())
-                .run();
-        if (!dir_cell.allCompleted) {
-            std::fprintf(stderr, "FAILED: DirectoryCMP on %s\n",
-                         spec.name);
-            return 1;
-        }
-        record(report, spec.name, dir_cell);
-
-        // The hierarchical family: directory between CMPs, tokens
-        // within — the protocol axis the policy sweep can't reach.
-        SystemConfig hier_cfg;
-        hier_cfg.protocol = Protocol::HierCMP;
-        hier_cfg.workloadName = spec.name;
-        hier_cfg.workloadParams = spec.knobs;
-        const ExperimentResult hier_cell =
-            Experiment::of(hier_cfg)
-                .seeds(seedsPerPoint())
-                .parallelism(defaultParallelism())
-                .run();
-        if (!hier_cell.allCompleted) {
-            std::fprintf(stderr, "FAILED: HierCMP on %s\n",
-                         spec.name);
-            return 1;
-        }
-        record(report, spec.name, hier_cell);
-
-        // The token policy sweep, through the workloads() axis.
         SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
         cfg.workloadParams = spec.knobs;
         const std::vector<ExperimentResult> cells =
             Experiment::of(cfg)
                 .seeds(seedsPerPoint())
                 .parallelism(defaultParallelism())
                 .workloads({spec.name})
-                .policies(policies)
+                .policies(protocols)
                 .runSweep();
 
         double dst1_inter = 0.0;
@@ -175,15 +140,15 @@ main(int argc, char **argv)
             const ExperimentResult &e = cells[i];
             if (!e.allCompleted) {
                 std::fprintf(stderr, "FAILED: %s on %s\n",
-                             policies[i].c_str(), spec.name);
+                             protocols[i].c_str(), spec.name);
                 return 1;
             }
             const CellMetrics m = record(report, spec.name, e);
-            if (policies[i] == "dst1")
+            if (protocols[i] == "dst1")
                 dst1_inter = m.interPerMiss;
-            else if (policies[i] == "dst-owner")
+            else if (protocols[i] == "dst-owner")
                 owner_inter = m.interPerMiss;
-            else if (policies[i] == "bw-adapt")
+            else if (protocols[i] == "bw-adapt")
                 bw_inter = m.interPerMiss;
         }
 

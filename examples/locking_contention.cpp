@@ -6,7 +6,10 @@
  * and traffic — the raw material behind Figures 2/3. Per-seed progress
  * is streamed via the runner's onSeedDone callback.
  *
- *   $ ./locking_contention [protocol 0..8] [acquires] [seeds]
+ *   $ ./locking_contention [protocol] [acquires] [seeds]
+ *
+ * `protocol` is any protocol name ("dst1", the default; "directory",
+ * "hier", "bw-adapt", ...); an unknown name lists the registered ones.
  */
 
 #include <algorithm>
@@ -22,11 +25,7 @@ using namespace tokencmp;
 int
 main(int argc, char **argv)
 {
-    const auto protos = allProtocols();
-    unsigned pidx = 5;  // TokenCMP-dst1
-    if (argc > 1)
-        pidx = unsigned(std::atoi(argv[1])) % protos.size();
-    const Protocol proto = protos[pidx];
+    const std::string proto = argc > 1 ? argv[1] : Protocol::TokenDst1;
     unsigned acquires = 25;
     if (argc > 2)
         acquires = unsigned(std::atoi(argv[2]));
@@ -37,7 +36,8 @@ main(int argc, char **argv)
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("protocol: %s, %u acquires per processor, %u seeds, "
                 "parallelism %u\n\n",
-                protocolName(proto), acquires, seeds, hw ? hw : 1);
+                protocolName(proto).c_str(), acquires, seeds,
+                hw ? hw : 1);
     std::printf("%8s %18s %10s %12s %12s %10s\n", "locks",
                 "runtime(ns)", "L1 misses", "persistents",
                 "inter bytes", "viol");

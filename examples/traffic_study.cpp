@@ -45,7 +45,8 @@ main(int argc, char **argv)
             return 1;
         const System::RunResult &res = e.perSeed.front();
 
-        std::printf("\n%s (runtime %llu ns)\n", protocolName(proto),
+        std::printf("\n%s (runtime %llu ns)\n",
+                    protocolName(proto).c_str(),
                     (unsigned long long)(res.runtime / ticksPerNs));
         std::printf("  %-20s %12s %12s %12s\n", "message class",
                     "intra", "inter", "memlink");

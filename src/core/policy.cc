@@ -75,9 +75,8 @@ PolicyRegistry::registerPolicy(const std::string &name, Factory factory)
     _factories[name] = std::move(factory);
 }
 
-std::unique_ptr<PerformancePolicy>
-PolicyRegistry::create(const std::string &name,
-                       const PolicyEnv &env) const
+const PolicyRegistry::Factory &
+PolicyRegistry::factory(const std::string &name) const
 {
     auto it = _factories.find(name);
     if (it == _factories.end()) {
@@ -90,7 +89,7 @@ PolicyRegistry::create(const std::string &name,
               "was the plugin's translation unit linked in?",
               name.c_str(), have.c_str());
     }
-    return it->second(env);
+    return it->second;
 }
 
 bool
@@ -127,9 +126,8 @@ namespace {
 class Table1Policy final : public PerformancePolicy
 {
   public:
-    Table1Policy(const TokenPolicy &row, const char *name,
-                 const PolicyEnv &env)
-        : PerformancePolicy(env), _row(row), _name(name)
+    Table1Policy(const TokenPolicy &row, const PolicyEnv &env)
+        : PerformancePolicy(env), _row(row)
     {
         // The tables are allocated only where they are consulted: one
         // policy instance exists per controller, the predictor hooks
@@ -149,8 +147,6 @@ class Table1Policy final : public PerformancePolicy
         if (_row.useFilter && env.self.type == MachineType::L2Bank)
             _filter = std::make_unique<SharerFilter>();
     }
-
-    const char *name() const override { return _name; }
 
     unsigned
     maxTransients(bool is_write) const override
@@ -215,38 +211,37 @@ class Table1Policy final : public PerformancePolicy
 
   private:
     TokenPolicy _row;
-    const char *_name;
     std::unique_ptr<ContentionPredictor> _predictor;
     std::unique_ptr<SharerFilter> _filter;
 };
 
 PolicyRegistry::Factory
-table1Factory(TokenPolicy row, const char *name)
+table1Factory(TokenPolicy row)
 {
-    return [row, name](const PolicyEnv &env) {
-        return std::make_unique<Table1Policy>(row, name, env);
+    return [row](const PolicyEnv &env) {
+        return makeTable1Policy(row, env);
     };
 }
 
-const PolicyRegistrar regArb0(
-    "arb0", table1Factory(token_variants::arb0(), "arb0"));
-const PolicyRegistrar regDst0(
-    "dst0", table1Factory(token_variants::dst0(), "dst0"));
-const PolicyRegistrar regDst4(
-    "dst4", table1Factory(token_variants::dst4(), "dst4"));
-const PolicyRegistrar regDst1(
-    "dst1", table1Factory(token_variants::dst1(), "dst1"));
+const PolicyRegistrar regArb0("arb0",
+                              table1Factory(token_variants::arb0()));
+const PolicyRegistrar regDst0("dst0",
+                              table1Factory(token_variants::dst0()));
+const PolicyRegistrar regDst4("dst4",
+                              table1Factory(token_variants::dst4()));
+const PolicyRegistrar regDst1("dst1",
+                              table1Factory(token_variants::dst1()));
 const PolicyRegistrar regDst1Pred(
-    "dst1-pred", table1Factory(token_variants::dst1Pred(), "dst1-pred"));
+    "dst1-pred", table1Factory(token_variants::dst1Pred()));
 const PolicyRegistrar regDst1Filt(
-    "dst1-filt", table1Factory(token_variants::dst1Filt(), "dst1-filt"));
+    "dst1-filt", table1Factory(token_variants::dst1Filt()));
 
 } // namespace
 
 std::unique_ptr<PerformancePolicy>
 makeTable1Policy(const TokenPolicy &row, const PolicyEnv &env)
 {
-    return std::make_unique<Table1Policy>(row, "table1", env);
+    return std::make_unique<Table1Policy>(row, env);
 }
 
 } // namespace tokencmp

@@ -12,10 +12,11 @@
  * plugins cannot break safety or starvation freedom, only performance.
  *
  * Policies are selected by name through the self-registering
- * `PolicyRegistry` (`SystemConfig::policyName`); the six Table 1 rows
- * of the paper are registered as "arb0", "dst0", "dst4", "dst1",
- * "dst1-pred" and "dst1-filt", and policy_adaptive.cc adds
- * destination-set predictors the enum-based design could not express.
+ * `PolicyRegistry`: every registered policy name is also a protocol
+ * name (`SystemConfig::protocol`) that runs the token family with
+ * that policy. The six Table 1 rows of the paper are registered as
+ * "arb0", "dst0", "dst4", "dst1", "dst1-pred" and "dst1-filt", and
+ * policy_adaptive.cc adds destination-set predictors.
  *
  * Determinism contract: a policy must keep all mutable state per
  * instance (one instance exists per controller, so instance state is
@@ -96,9 +97,6 @@ class PerformancePolicy
 
     PerformancePolicy(const PerformancePolicy &) = delete;
     PerformancePolicy &operator=(const PerformancePolicy &) = delete;
-
-    /** Registry name (Table 1 row or plugin name). */
-    virtual const char *name() const = 0;
 
     // -- Substrate knobs ---------------------------------------------
 
@@ -260,10 +258,9 @@ class PolicyRegistry
     /** Register `factory` under `name`; fatal on duplicates. */
     void registerPolicy(const std::string &name, Factory factory);
 
-    /** Instantiate `name` for one controller; fatal (listing every
+    /** The factory registered as `name`; fatal (listing every
      *  registered name) if unknown. */
-    std::unique_ptr<PerformancePolicy>
-    create(const std::string &name, const PolicyEnv &env) const;
+    const Factory &factory(const std::string &name) const;
 
     bool known(const std::string &name) const;
 
@@ -286,10 +283,10 @@ struct PolicyRegistrar
 };
 
 /**
- * The Table 1 policy family from an explicit row (used directly when
- * `SystemConfig::policyName` is empty, e.g. customPolicy ablations
- * sweeping individual row knobs; the registry's "arb0".."dst1-filt"
- * entries are the canned rows by name).
+ * The Table 1 policy family for an explicit row. The registry's
+ * "arb0".."dst1-filt" entries are the canned rows; the hierarchical
+ * family builds its intra-CMP policy from token_variants::hier(), and
+ * ablations register rows of their own.
  */
 std::unique_ptr<PerformancePolicy>
 makeTable1Policy(const TokenPolicy &row, const PolicyEnv &env);

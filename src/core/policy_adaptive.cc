@@ -227,8 +227,6 @@ class OwnerGroupPolicy final : public DestSetPolicy
   public:
     using DestSetPolicy::DestSetPolicy;
 
-    const char *name() const override { return "dst-owner"; }
-
     void
     destinationSet(Addr addr, DestKind kind, bool is_write,
                    unsigned attempt, std::vector<MachineID> &out) override
@@ -253,8 +251,6 @@ class BandwidthAdaptivePolicy final : public DestSetPolicy
 {
   public:
     using DestSetPolicy::DestSetPolicy;
-
-    const char *name() const override { return "bw-adapt"; }
 
     void
     destinationSet(Addr addr, DestKind kind, bool is_write,
@@ -356,8 +352,6 @@ class GroupMulticastPolicy final : public DestSetPolicy
                 env.params != nullptr ? env.params->cmpPredWays : 4);
         }
     }
-
-    const char *name() const override { return "dst-group"; }
 
     /** Reads get the group multicast plus one full-broadcast retry
      *  before the persistent fallback; writes — whose broadcasts must

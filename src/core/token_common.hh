@@ -28,22 +28,19 @@ namespace tokencmp {
 /** State shared by every controller of one token-coherent system. */
 struct TokenGlobals
 {
-    explicit TokenGlobals(const TokenParams &p, bool audit = true,
-                          std::string policy_name = "")
+    TokenGlobals(const TokenParams &p, bool audit,
+                 PolicyRegistry::Factory policy)
         : params(p), auditor(p.totalTokens, audit),
-          policyName(std::move(policy_name))
+          policy(std::move(policy))
     {}
 
     TokenParams params;
     TokenAuditor auditor;
     BackingStore store;
 
-    /**
-     * PolicyRegistry name of the system's performance policy; empty
-     * selects the Table 1 family configured by `params.policy` (the
-     * enum-compatible path and customPolicy ablations).
-     */
-    std::string policyName;
+    /** The system's performance policy, resolved once when the
+     *  protocol name was looked up. */
+    PolicyRegistry::Factory policy;
 
     /**
      * Create this system's performance policy bound to one controller

@@ -1,7 +1,10 @@
 /**
  * @file
- * Configuration of the token coherence substrate and the TokenCMP
- * performance policies (paper Table 1).
+ * Configuration of the token coherence substrate (TokenParams) and
+ * the rows of the paper's Table 1 (TokenPolicy, token_variants).
+ * Which row a run uses is not configured here: the protocol name
+ * (SystemConfig::protocol) selects a registered policy, and each
+ * registered Table 1 name wraps one of these rows.
  */
 
 #ifndef TOKENCMP_CORE_TOKEN_CONFIG_HH
@@ -20,12 +23,9 @@ enum class PersistentActivation : unsigned char {
 /**
  * One row of the paper's Table 1.
  *
- * This struct is the *configuration* of the Table 1 policy family —
- * the executable policy behavior lives in core/policy.hh's
- * PerformancePolicy plugins (the row flags are interpreted by
- * Table1Policy in policy.cc). It survives as an alias layer so the
- * Protocol enum and customPolicy ablations keep working; prefer
- * selecting policies by PolicyRegistry name (SystemConfig::policyName).
+ * The row flags are interpreted by the Table 1 PerformancePolicy
+ * (makeTable1Policy in core/policy.hh); the PolicyRegistry entries
+ * "arb0".."dst1-filt" are the canned rows below.
  */
 struct TokenPolicy
 {
@@ -108,8 +108,6 @@ struct TokenParams
      * of trusting the owner prediction.
      */
     double bwBusyUtil = 0.01;
-
-    TokenPolicy policy;
 };
 
 /** Canned Table 1 variants. */

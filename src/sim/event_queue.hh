@@ -95,8 +95,6 @@ const char *schedulerKindName(SchedulerKind k);
 class EventQueue
 {
   public:
-    using Action = std::function<void()>;  //!< legacy closure alias
-
     explicit EventQueue(SchedulerKind kind = SchedulerKind::TimingWheel)
         : _kind(kind)
     {}

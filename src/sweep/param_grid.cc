@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <set>
 
-#include "core/policy.hh"
 #include "sim/logging.hh"
 #include "sweep/json.hh"
 #include "system/knobs.hh"
+#include "system/protocol_registry.hh"
 #include "workload/workload_registry.hh"
 
 namespace tokencmp {
@@ -41,26 +41,6 @@ joinNames(const std::vector<std::string> &names)
         out += n;
     }
     return out;
-}
-
-/** The non-token "policies" axis specials. */
-bool
-isProtocolSpecial(const std::string &name, Protocol *out = nullptr)
-{
-    Protocol p;
-    if (name == "directory")
-        p = Protocol::DirectoryCMP;
-    else if (name == "directory-zero")
-        p = Protocol::DirectoryCMPZero;
-    else if (name == "perfect")
-        p = Protocol::PerfectL2;
-    else if (name == "hier")
-        p = Protocol::HierCMP;
-    else
-        return false;
-    if (out)
-        *out = p;
-    return true;
 }
 
 std::vector<std::string>
@@ -167,13 +147,11 @@ ParamGrid::fromJsonText(const std::string &text,
     if (grid._policies.empty())
         fatal("sweep grid %s: missing \"policies\" axis", what.c_str());
     for (const std::string &p : grid._policies) {
-        if (!isProtocolSpecial(p) &&
-            !PolicyRegistry::instance().known(p)) {
-            fatal("sweep grid %s: unknown policy '%s' (registered: "
-                  "%s; specials: directory, directory-zero, perfect, "
-                  "hier)",
+        if (!ProtocolRegistry::instance().known(p)) {
+            fatal("sweep grid %s: unknown policy '%s' (protocol "
+                  "names: %s)",
                   what.c_str(), p.c_str(),
-                  joinNames(PolicyRegistry::instance().names())
+                  joinNames(ProtocolRegistry::instance().names())
                       .c_str());
         }
     }
@@ -325,21 +303,19 @@ ParamGrid::fromJsonText(const std::string &text,
 void
 ParamGrid::enumerate()
 {
-    unsigned skipped_perfect = 0;
+    unsigned skipped_unshardable = 0;
     unsigned index = 0;
     for (const std::string &p : _policies) {
-        Protocol special;
-        const bool is_special = isProtocolSpecial(p, &special);
+        const bool shardable =
+            ProtocolRegistry::instance().resolve(p).shardable;
         for (const std::string &w : _workloads) {
             for (const std::string &m : _maps) {
-                // PerfectL2's magic L2 bypasses the network, so it
-                // cannot run sharded. Crossing axes makes such combos
-                // inevitable in mixed grids — they are skipped
-                // (deterministically), not fatal.
-                const bool sharded = m != "serial";
-                if (is_special && special == Protocol::PerfectL2 &&
-                    sharded) {
-                    ++skipped_perfect;
+                // Some families (PerfectL2's magic L2 bypasses the
+                // network) cannot run sharded. Crossing axes makes
+                // such combos inevitable in mixed grids — they are
+                // skipped (deterministically), not fatal.
+                if (!shardable && m != "serial") {
+                    ++skipped_unshardable;
                     continue;
                 }
                 for (const KnobOverride &o : _overrides) {
@@ -379,10 +355,10 @@ ParamGrid::enumerate()
             }
         }
     }
-    if (skipped_perfect > 0) {
-        warn("sweep grid %s: skipped %u perfect x sharded cells "
-             "(PerfectL2 cannot run sharded)",
-             _name.c_str(), skipped_perfect);
+    if (skipped_unshardable > 0) {
+        warn("sweep grid %s: skipped %u sharded cells of protocols "
+             "that cannot run sharded",
+             _name.c_str(), skipped_unshardable);
     }
 }
 
@@ -390,13 +366,7 @@ SystemConfig
 ParamGrid::configFor(const SweepCell &cell) const
 {
     SystemConfig cfg;
-    Protocol special;
-    if (isProtocolSpecial(cell.policy, &special)) {
-        cfg.protocol = special;
-    } else {
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.policyName = cell.policy;
-    }
+    cfg.protocol = cell.policy;
     cfg.workloadName = cell.workload;
     cfg.workloadParams = _wl;
 

@@ -27,10 +27,10 @@
  *     ]
  *   }
  *
- * "policies" entries are PolicyRegistry names on the token substrate,
- * plus the specials "directory" / "directory-zero" / "perfect" for
- * the non-token baselines and "hier" for the hierarchical family.
- * Every name (policies, workloads, knobs) is
+ * Every "policies" entry is a protocol name (SystemConfig::protocol):
+ * a PolicyRegistry name runs the TokenCMP family with that policy,
+ * and "directory", "directory-zero", "hier" and "perfect" run the
+ * other families. Every name (protocols, workloads, knobs) is
  * validated against its registry at load time — a typo dies before
  * any cell simulates, not at 3am in cell 900.
  */
@@ -59,7 +59,7 @@ struct KnobOverride
 struct SweepCell
 {
     unsigned index = 0;        //!< position in grid enumeration order
-    std::string policy;        //!< policy name or a protocol special
+    std::string policy;        //!< protocol name
     std::string workload;      //!< WorkloadRegistry name
     std::string shardMap;      //!< "serial" | "perCmp"
     std::string overrideLabel; //!< KnobOverride::label
@@ -95,7 +95,7 @@ class ParamGrid
      *  fingerprint covers). */
     const std::string &canonical() const { return _canonical; }
 
-    /** The fully-finalized SystemConfig a cell runs (seed included).
+    /** The validated SystemConfig a cell runs (seed included).
      *  Called for every cell at load time too, so config-level
      *  validation failures surface at submission. */
     SystemConfig configFor(const SweepCell &cell) const;

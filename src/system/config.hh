@@ -1,6 +1,7 @@
 /**
  * @file
- * Target-system configuration (paper Table 3) and protocol selection.
+ * Target-system configuration (paper Table 3) and the names of the
+ * protocols the paper evaluates.
  */
 
 #ifndef TOKENCMP_SYSTEM_CONFIG_HH
@@ -8,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/token_config.hh"
 #include "directory/dir_config.hh"
@@ -18,28 +18,39 @@
 
 namespace tokencmp {
 
-/** Every protocol evaluated in the paper (Sections 6-8). */
-enum class Protocol : unsigned char {
-    DirectoryCMP,      //!< hierarchical MOESI directory, DRAM directory
-    DirectoryCMPZero,  //!< unrealistic zero-cycle directory
-    TokenArb0,         //!< persistent-only, arbiter activation
-    TokenDst0,         //!< persistent-only, distributed activation
-    TokenDst4,         //!< 1 transient + 3 retries
-    TokenDst1,         //!< 1 transient, then persistent
-    TokenDst1Pred,     //!< dst1 + contention predictor
-    TokenDst1Filt,     //!< dst1 + external-request filter
-    PerfectL2,         //!< infinite shared L2 lower bound
-    HierCMP,           //!< directory between CMPs, tokens within
+/**
+ * A protocol name: the one key that selects what a System runs. It is
+ * a family name registered with the ProtocolRegistry ("directory",
+ * "hier", ...) or any PolicyRegistry name, which runs the TokenCMP
+ * family with that performance policy ("dst1", "dst-owner", ...).
+ * The constants name the configurations the paper evaluates
+ * (Sections 6-8); protocolName() gives their figure labels.
+ */
+struct Protocol : std::string
+{
+    using std::string::string;
+
+    //! hierarchical MOESI directory, DRAM directory
+    static constexpr const char *DirectoryCMP = "directory";
+    //! unrealistic zero-cycle directory
+    static constexpr const char *DirectoryCMPZero = "directory-zero";
+    //! persistent-only, arbiter activation
+    static constexpr const char *TokenArb0 = "arb0";
+    //! persistent-only, distributed activation
+    static constexpr const char *TokenDst0 = "dst0";
+    //! 1 transient + 3 retries
+    static constexpr const char *TokenDst4 = "dst4";
+    //! 1 transient, then persistent
+    static constexpr const char *TokenDst1 = "dst1";
+    //! dst1 + contention predictor
+    static constexpr const char *TokenDst1Pred = "dst1-pred";
+    //! dst1 + external-request filter
+    static constexpr const char *TokenDst1Filt = "dst1-filt";
+    //! infinite shared L2 lower bound
+    static constexpr const char *PerfectL2 = "perfect";
+    //! directory between CMPs, tokens within
+    static constexpr const char *HierCMP = "hier";
 };
-
-/** Printable protocol name (matches the paper's figures). */
-const char *protocolName(Protocol p);
-
-/** True for the TokenCMP variants. */
-bool isToken(Protocol p);
-
-/** All nine configurations. */
-std::vector<Protocol> allProtocols();
 
 /**
  * How the machine decomposes into shard domains for the sharded
@@ -59,7 +70,9 @@ struct ShardMap
 /** Full system configuration; defaults reproduce Table 3. */
 struct SystemConfig
 {
-    Protocol protocol = Protocol::TokenDst1;
+    /** Protocol name (see Protocol); an unknown name is diagnosed,
+     *  listing every registered name, by finalize(). */
+    std::string protocol = Protocol::TokenDst1;
     Topology topo{};  //!< 4 CMPs x 4 processors, 4 L2 banks
 
     std::uint64_t l1Bytes = 128 * 1024;
@@ -98,32 +111,14 @@ struct SystemConfig
      * conservative lookahead windows by min(shards, numCmps) worker
      * threads. For a fixed seed the sharded run is bit-identical for
      * every worker count (the shard decomposition is fixed; `shards`
-     * only chooses how many threads drive it). PerfectL2 cannot run
-     * sharded (its magic L2 bypasses the network).
+     * only chooses how many threads drive it). A protocol whose
+     * registry entry is not shardable (PerfectL2: its magic L2
+     * bypasses the network) cannot run sharded.
      */
     unsigned shards = 0;
 
     /** Shard-domain decomposition used when `shards > 0`. */
     ShardMap shardMap{};
-
-    /**
-     * Keep the caller's hand-set token policy instead of the Table 1
-     * preset implied by `protocol` (for ablations sweeping individual
-     * policy knobs).
-     */
-    bool customPolicy = false;
-
-    /**
-     * Performance-policy selection by PolicyRegistry name ("dst1",
-     * "dst1-pred", "bw-adapt", ...). Empty (the default) derives the
-     * policy from `protocol`'s Table 1 preset — or from the hand-set
-     * `token.policy` row under `customPolicy` — so the Protocol enum
-     * remains a thin alias layer over the named plugins. Only
-     * meaningful for token protocols; finalize() rejects it elsewhere.
-     * An unknown name is diagnosed (listing every registered policy)
-     * when the System is built.
-     */
-    std::string policyName;
 
     /**
      * Workload selection by WorkloadRegistry name ("locking", "zipf",
@@ -140,36 +135,13 @@ struct SystemConfig
      *  fraction, phase schedule, ...); validated in finalize(). */
     WorkloadParams workloadParams;
 
-    /** Row/figure label: "TokenCMP-<policyName>" when a named policy
-     *  is selected, protocolName(protocol) otherwise. */
-    std::string displayName() const;
-
     /**
-     * Apply protocol-specific knobs (Table 1 policies, dir latency).
-     * Idempotent: a second call for the same protocol is a no-op, so a
-     * caller may finalize, hand-tune individual knobs, and still pass
-     * the config to `System` (which finalizes defensively) without the
-     * presets being re-applied over the tuning. Changing `protocol`
-     * re-arms finalization.
+     * Validate the configuration: the protocol name, the policy knob
+     * geometry and the named workload's knob table. Fatal, naming the
+     * problem, on the first failure; writes nothing, so any caller
+     * (System, Experiment, ParamGrid) may call it any number of times.
      */
-    void finalize();
-
-    /** Whether finalize() has been applied for the current protocol,
-     *  policy and workload selection (changing any re-arms it, so the
-     *  compatibility and knob checks cannot be bypassed by assigning
-     *  after a finalize()). */
-    bool finalized() const
-    {
-        return _finalized && _finalizedFor == protocol &&
-               _finalizedPolicy == policyName &&
-               _finalizedWorkload == workloadName;
-    }
-
-  private:
-    bool _finalized = false;
-    Protocol _finalizedFor = Protocol::TokenDst1;
-    std::string _finalizedPolicy;
-    std::string _finalizedWorkload;
+    void finalize() const;
 };
 
 } // namespace tokencmp

@@ -7,7 +7,6 @@
 #include <optional>
 #include <thread>
 
-#include "core/policy.hh"
 #include "sim/logging.hh"
 #include "system/knobs.hh"
 #include "workload/workload_registry.hh"
@@ -184,16 +183,11 @@ ExperimentRunner::runSweep() const
     }
     if (_policies.empty())
         return {run()};
-    if (!isToken(_cfg.protocol)) {
-        fatal("ExperimentRunner: a policies() sweep needs a token "
-              "protocol base config (got %s)",
-              protocolName(_cfg.protocol));
-    }
     // Fail fast on typos: a bad name in the last cell must not cost
     // the minutes the earlier cells take to simulate.
     for (const std::string &name : _policies) {
-        if (!PolicyRegistry::instance().known(name)) {
-            fatal("ExperimentRunner: unknown policy '%s' in the "
+        if (!ProtocolRegistry::instance().known(name)) {
+            fatal("ExperimentRunner: unknown protocol '%s' in the "
                   "policies() sweep", name.c_str());
         }
     }
@@ -202,7 +196,7 @@ ExperimentRunner::runSweep() const
     for (const std::string &name : _policies) {
         ExperimentRunner cell = *this;
         cell._policies.clear();
-        cell._cfg.policyName = name;
+        cell._cfg.protocol = name;
         out.push_back(cell.run());
     }
     return out;
@@ -298,7 +292,7 @@ ExperimentRunner::run() const
     // Aggregate strictly in seed order: identical results no matter in
     // which order the workers finished.
     ExperimentResult exp;
-    exp.protocol = base.displayName();
+    exp.protocol = protocolName(base.protocol);
     exp.knobHash = knobOverrideHash(base);
     if (!exp.knobHash.empty())
         exp.protocol += "@" + exp.knobHash;
@@ -309,7 +303,7 @@ ExperimentRunner::run() const
         if (!r.completed) {
             exp.allCompleted = false;
             warn("%s: seed %llu did not complete within horizon",
-                 protocolName(base.protocol),
+                 protocolName(base.protocol).c_str(),
                  (unsigned long long)(_firstSeed + i));
             continue;
         }

@@ -57,7 +57,7 @@ struct SeedProgress
 /** Aggregated multi-seed experiment results (mean +/- 95% CI). */
 struct ExperimentResult
 {
-    /** displayName() of the configuration, suffixed with "@<hash>"
+    /** protocolName() of the configuration, suffixed with "@<hash>"
      *  when any tuning knob differs from its default (see
      *  system/knobs.hh) — two runs of the same policy under
      *  different knob overrides must not collide in reports. */
@@ -92,9 +92,9 @@ class ExperimentRunner
     ExperimentRunner &workload(WorkloadFactory factory);
     ExperimentRunner &seeds(unsigned n);
     /**
-     * Policy sweep axis: run the whole experiment once per named
-     * performance policy (PolicyRegistry names; requires a token
-     * protocol in the base config). Execute with runSweep().
+     * Protocol sweep axis: run the whole experiment once per protocol
+     * name ("dst1", "bw-adapt", "directory", ...), replacing the base
+     * config's protocol. Execute with runSweep().
      */
     ExperimentRunner &policies(std::vector<std::string> names);
     /**
@@ -126,9 +126,9 @@ class ExperimentRunner
 
     /**
      * Execute the policies() sweep: one aggregated ExperimentResult
-     * per policy name, in the order given (each labeled
-     * "TokenCMP-<name>" via SystemConfig::displayName). Without a
-     * pending sweep this is {run()}.
+     * per protocol name, in the order given (each labeled with its
+     * protocolName(), e.g. "TokenCMP-<name>"). Without a pending
+     * sweep this is {run()}.
      */
     std::vector<ExperimentResult> runSweep() const;
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * DirectoryCMP protocol family: registers a ProtocolBuilder for the
- * hierarchical MOESI directory baseline and its zero-latency-directory
- * variant.
+ * DirectoryCMP protocol family: registers the hierarchical MOESI
+ * directory baseline as "directory" (80 ns DRAM directory lookup) and
+ * its zero-latency-directory variant as "directory-zero".
  */
 
 #include <memory>
@@ -17,12 +17,18 @@ namespace {
 class DirectoryFamily : public ProtocolBuilder
 {
   public:
+    explicit DirectoryFamily(bool zero_lookup) : _zeroLookup(zero_lookup)
+    {}
+
     void
     build(System &sys) override
     {
         const SystemConfig &cfg = sys.config();
         const Topology &t = sys.config().topo;
-        _globals = std::make_unique<DirGlobals>(cfg.dir);
+        DirParams params = cfg.dir;
+        if (_zeroLookup)
+            params.dirLatency = 0;
+        _globals = std::make_unique<DirGlobals>(params);
         if (cfg.shards > 0) {
             // Home memory controllers on different shard domains
             // insert into the functional store concurrently.
@@ -83,15 +89,21 @@ class DirectoryFamily : public ProtocolBuilder
     }
 
   private:
+    bool _zeroLookup;
     std::unique_ptr<DirGlobals> _globals;
     std::vector<DirL1 *> _l1s;
     std::vector<DirL2 *> _l2s;
     std::vector<DirMem *> _mems;
 };
 
-const ProtocolRegistrar registrar(
-    {Protocol::DirectoryCMP, Protocol::DirectoryCMPZero},
-    []() { return std::make_unique<DirectoryFamily>(); });
+const ProtocolRegistrar directory(
+    Protocol::DirectoryCMP,
+    {"DirectoryCMP", true,
+     []() { return std::make_unique<DirectoryFamily>(false); }});
+const ProtocolRegistrar directoryZero(
+    Protocol::DirectoryCMPZero,
+    {"DirectoryCMP-zero", true,
+     []() { return std::make_unique<DirectoryFamily>(true); }});
 
 } // namespace
 } // namespace tokencmp

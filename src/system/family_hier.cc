@@ -33,12 +33,16 @@ class HierFamily : public ProtocolBuilder
         const Topology &t = sys.config().topo;
 
         _dirGlobals = std::make_unique<DirGlobals>(cfg.dir);
+        // The intra-CMP policy is the hier() Table 1 row (local
+        // broadcast, arbiter activation at the shim).
+        const PolicyRegistry::Factory policy =
+            [](const PolicyEnv &env) {
+                return makeTable1Policy(token_variants::hier(), env);
+            };
         for (unsigned c = 0; c < t.numCmps; ++c) {
-            // One private token space per CMP. The policy name stays
-            // empty: the intra-CMP policy is the hier() Table 1 row
-            // (local broadcast, arbiter activation at the shim).
+            // One private token space per CMP.
             _tokenGlobals.push_back(std::make_unique<TokenGlobals>(
-                cfg.token, cfg.audit));
+                cfg.token, cfg.audit, policy));
         }
         if (cfg.shards > 0) {
             // Home memory controllers on different domains insert into
@@ -160,8 +164,8 @@ class HierFamily : public ProtocolBuilder
 };
 
 const ProtocolRegistrar registrar(
-    {Protocol::HierCMP},
-    []() { return std::make_unique<HierFamily>(); });
+    Protocol::HierCMP,
+    {"HierCMP", true, []() { return std::make_unique<HierFamily>(); }});
 
 } // namespace
 } // namespace tokencmp

@@ -1,9 +1,9 @@
 /**
  * @file
- * PerfectL2 pseudo-protocol family: registers a ProtocolBuilder for
- * the paper's unimplementable lower bound (Section 6). Its L1s are
+ * PerfectL2 pseudo-protocol family: registers the paper's
+ * unimplementable lower bound (Section 6) as "perfect". Its L1s are
  * never attached to the network — misses hit the magic shared L2
- * directly.
+ * directly — so it cannot run on the sharded kernel.
  */
 
 #include <memory>
@@ -65,8 +65,9 @@ class PerfectFamily : public ProtocolBuilder
 };
 
 const ProtocolRegistrar registrar(
-    {Protocol::PerfectL2},
-    []() { return std::make_unique<PerfectFamily>(); });
+    Protocol::PerfectL2,
+    {"PerfectL2", false,
+     []() { return std::make_unique<PerfectFamily>(); }});
 
 } // namespace
 } // namespace tokencmp

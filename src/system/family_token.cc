@@ -1,8 +1,9 @@
 /**
  * @file
- * TokenCMP protocol family: registers a ProtocolBuilder for the six
- * token-coherence variants (Table 1 performance policies over the
- * shared correctness substrate).
+ * TokenCMP protocol family: one correctness substrate, run with
+ * whichever performance policy the protocol name selects. Registered
+ * as the family of every PolicyRegistry name (the Table 1 rows
+ * "arb0".."dst1-filt", the adaptive policies, plugins).
  */
 
 #include <memory>
@@ -17,13 +18,17 @@ namespace {
 class TokenFamily : public ProtocolBuilder
 {
   public:
+    explicit TokenFamily(PolicyRegistry::Factory policy)
+        : _policy(std::move(policy))
+    {}
+
     void
     build(System &sys) override
     {
         const SystemConfig &cfg = sys.config();
         const Topology &t = sys.config().topo;
         _globals = std::make_unique<TokenGlobals>(cfg.token, cfg.audit,
-                                                  cfg.policyName);
+                                                  _policy);
         if (cfg.shards > 0) {
             // Shard domains mutate the globals concurrently: guard the
             // auditor and functional memory, and pre-size the
@@ -90,8 +95,7 @@ class TokenFamily : public ProtocolBuilder
         out.add("l1.misses", double(misses));
 
         // Policy-specific statistics (summed across instances; the
-        // Table 1 policies contribute nothing, keeping enum-path
-        // stat sets unchanged).
+        // Table 1 policies contribute nothing).
         for (const TokenL1 *l1 : _l1s)
             l1->policy().exportStats(out);
         for (const TokenL2 *l2 : _l2s)
@@ -116,6 +120,7 @@ class TokenFamily : public ProtocolBuilder
     TokenGlobals *tokenGlobals() override { return _globals.get(); }
 
   private:
+    PolicyRegistry::Factory _policy;
     std::unique_ptr<TokenGlobals> _globals;
     std::vector<TokenL1 *> _l1s;
     std::vector<TokenL2 *> _l2s;
@@ -123,10 +128,9 @@ class TokenFamily : public ProtocolBuilder
 };
 
 const ProtocolRegistrar registrar(
-    {Protocol::TokenArb0, Protocol::TokenDst0, Protocol::TokenDst4,
-     Protocol::TokenDst1, Protocol::TokenDst1Pred,
-     Protocol::TokenDst1Filt},
-    []() { return std::make_unique<TokenFamily>(); });
+    "TokenCMP-", [](PolicyRegistry::Factory policy) {
+        return std::make_unique<TokenFamily>(std::move(policy));
+    });
 
 } // namespace
 } // namespace tokencmp

@@ -1,6 +1,6 @@
 #include "system/protocol_registry.hh"
 
-#include <string>
+#include <algorithm>
 
 #include "sim/logging.hh"
 
@@ -14,50 +14,75 @@ ProtocolRegistry::instance()
 }
 
 void
-ProtocolRegistry::registerProtocol(
-    std::initializer_list<Protocol> protos, Factory factory)
+ProtocolRegistry::registerFamily(const std::string &name,
+                                 ProtocolEntry entry)
 {
-    for (Protocol p : protos) {
-        if (_factories.count(p) != 0) {
-            panic("protocol %s registered twice", protocolName(p));
-        }
-        _factories[p] = factory;
-    }
+    if (_families.count(name) != 0)
+        panic("protocol %s registered twice", name.c_str());
+    _families[name] = std::move(entry);
 }
 
-std::unique_ptr<ProtocolBuilder>
-ProtocolRegistry::create(Protocol p) const
+void
+ProtocolRegistry::registerPolicyFamily(std::string display_prefix,
+                                       PolicyFamily family)
 {
-    auto it = _factories.find(p);
-    if (it == _factories.end()) {
-        std::string have;
-        for (const auto &[proto, f] : _factories) {
-            (void)f;
-            have += std::string(have.empty() ? "" : ", ") +
-                    protocolName(proto);
+    if (_policyFamily)
+        panic("policy-selected protocol family registered twice");
+    _policyPrefix = std::move(display_prefix);
+    _policyFamily = std::move(family);
+}
+
+ProtocolEntry
+ProtocolRegistry::resolve(const std::string &name) const
+{
+    const PolicyRegistry &policies = PolicyRegistry::instance();
+    auto it = _families.find(name);
+    if (it != _families.end()) {
+        if (policies.known(name)) {
+            panic("protocol name '%s' is both a family and a "
+                  "performance policy", name.c_str());
         }
-        fatal("no builder registered for protocol %s (registered: %s); "
-              "was the family's translation unit linked in?",
-              protocolName(p), have.c_str());
+        return it->second;
     }
-    return it->second();
+    if (!_policyFamily || !policies.known(name)) {
+        std::string have;
+        for (const std::string &n : names())
+            have += (have.empty() ? "" : ", ") + n;
+        fatal("unknown protocol '%s' (registered: %s); was its "
+              "translation unit linked in?",
+              name.c_str(), have.c_str());
+    }
+    return {_policyPrefix + name, true,
+            [family = _policyFamily, policy = policies.factory(name)]() {
+                return family(policy);
+            }};
 }
 
 bool
-ProtocolRegistry::known(Protocol p) const
+ProtocolRegistry::known(const std::string &name) const
 {
-    return _factories.count(p) != 0;
+    return _families.count(name) != 0 ||
+           (_policyFamily && PolicyRegistry::instance().known(name));
 }
 
-std::vector<Protocol>
-ProtocolRegistry::registered() const
+std::vector<std::string>
+ProtocolRegistry::names() const
 {
-    std::vector<Protocol> out;
-    for (const auto &[p, f] : _factories) {
-        (void)f;
-        out.push_back(p);
+    std::vector<std::string> out;
+    if (_policyFamily)
+        out = PolicyRegistry::instance().names();
+    for (const auto &[name, entry] : _families) {
+        (void)entry;
+        out.push_back(name);
     }
+    std::sort(out.begin(), out.end());
     return out;
+}
+
+std::string
+protocolName(const std::string &name)
+{
+    return ProtocolRegistry::instance().resolve(name).displayName;
 }
 
 } // namespace tokencmp

@@ -1,26 +1,33 @@
 /**
  * @file
- * Pluggable protocol construction: each protocol family (token,
- * directory, perfect) registers a builder for the `Protocol` values it
- * implements, and `System` constructs whatever the registry hands it.
+ * Pluggable protocol construction, keyed by one name. A protocol name
+ * (`SystemConfig::protocol`) resolves here, and only here, to a family
+ * builder plus the figure label:
  *
- * Adding a protocol no longer touches the system core: define a
+ *  - a family registered under its own name ("directory",
+ *    "directory-zero", "hier", "perfect"), or
+ *  - any PolicyRegistry name ("dst1", "dst-owner", a plugin's name),
+ *    which runs the TokenCMP family with that performance policy,
+ *    labeled "TokenCMP-<name>".
+ *
+ * Adding a protocol family no longer touches the system core: define a
  * `ProtocolBuilder` subclass, register it with a static
  * `ProtocolRegistrar`, and make sure its translation unit is linked
  * into the target (the build links the core as an object library so
- * self-registration is never dropped by the archiver).
+ * self-registration is never dropped by the archiver). Adding a
+ * TokenCMP variant only takes a PolicyRegistrar.
  */
 
 #ifndef TOKENCMP_SYSTEM_PROTOCOL_REGISTRY_HH
 #define TOKENCMP_SYSTEM_PROTOCOL_REGISTRY_HH
 
 #include <functional>
-#include <initializer_list>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "system/config.hh"
+#include "core/policy.hh"
 
 namespace tokencmp {
 
@@ -60,42 +67,79 @@ class ProtocolBuilder
     virtual TokenGlobals *tokenGlobals() { return nullptr; }
 };
 
+/** What one protocol name resolves to. */
+struct ProtocolEntry
+{
+    /** Row/figure label ("TokenCMP-dst1", "DirectoryCMP", ...). */
+    std::string displayName;
+
+    /** False when the family cannot run on the sharded kernel
+     *  (PerfectL2's magic shared L2 bypasses the network). */
+    bool shardable = true;
+
+    /** Builds one System's instance of the family. */
+    std::function<std::unique_ptr<ProtocolBuilder>()> make;
+};
+
 /**
- * Process-wide map from `Protocol` values to builder factories.
- * Families self-register at static-initialization time; the registry
- * is effectively immutable once `main` begins, so concurrent
- * `ExperimentRunner` workers may look up builders without locking.
+ * Process-wide map from protocol names to families. Families
+ * self-register at static-initialization time; the registry is
+ * immutable once `main` begins, so concurrent `ExperimentRunner`
+ * workers may resolve names without locking.
  */
 class ProtocolRegistry
 {
   public:
-    using Factory = std::function<std::unique_ptr<ProtocolBuilder>()>;
+    /** Builds the family that runs every PolicyRegistry name, around
+     *  that name's policy factory. */
+    using PolicyFamily = std::function<std::unique_ptr<ProtocolBuilder>(
+        PolicyRegistry::Factory)>;
 
     static ProtocolRegistry &instance();
 
-    /** Register `factory` for each protocol; fatal on duplicates. */
-    void registerProtocol(std::initializer_list<Protocol> protos,
-                          Factory factory);
+    /** Register a family under `name`; panics on duplicates. */
+    void registerFamily(const std::string &name, ProtocolEntry entry);
 
-    /** Instantiate the builder for `p`; fatal if unregistered. */
-    std::unique_ptr<ProtocolBuilder> create(Protocol p) const;
+    /** Register the family every PolicyRegistry name selects; its
+     *  label is `display_prefix` followed by the policy name. */
+    void registerPolicyFamily(std::string display_prefix,
+                              PolicyFamily family);
 
-    bool known(Protocol p) const;
-    std::vector<Protocol> registered() const;
+    /** Resolve `name`; fatal, listing every registered name, if it is
+     *  neither a family nor a policy. */
+    ProtocolEntry resolve(const std::string &name) const;
+
+    bool known(const std::string &name) const;
+
+    /** Every protocol name (families and policies), sorted. */
+    std::vector<std::string> names() const;
 
   private:
     ProtocolRegistry() = default;
-    std::map<Protocol, Factory> _factories;
+    std::map<std::string, ProtocolEntry> _families;
+    std::string _policyPrefix;
+    PolicyFamily _policyFamily;
 };
+
+/** Figure label of protocol `name` (resolve(name).displayName). */
+std::string protocolName(const std::string &name);
 
 /** Static self-registration helper for protocol family files. */
 struct ProtocolRegistrar
 {
-    ProtocolRegistrar(std::initializer_list<Protocol> protos,
-                      ProtocolRegistry::Factory factory)
+    /** A family selected by one name. */
+    ProtocolRegistrar(const char *name, ProtocolEntry entry)
     {
-        ProtocolRegistry::instance().registerProtocol(protos,
-                                                      std::move(factory));
+        ProtocolRegistry::instance().registerFamily(name,
+                                                    std::move(entry));
+    }
+
+    /** The family selected by every PolicyRegistry name. */
+    ProtocolRegistrar(const char *display_prefix,
+                      ProtocolRegistry::PolicyFamily family)
+    {
+        ProtocolRegistry::instance().registerPolicyFamily(
+            display_prefix, std::move(family));
     }
 };
 

@@ -10,10 +10,12 @@ namespace tokencmp {
 System::System(const SystemConfig &cfg) : _cfg(cfg)
 {
     _cfg.finalize();
+    const ProtocolEntry proto =
+        ProtocolRegistry::instance().resolve(_cfg.protocol);
     const bool sharded = _cfg.shards > 0;
-    if (sharded && _cfg.protocol == Protocol::PerfectL2) {
-        panic("PerfectL2's magic shared L2 bypasses the network; "
-              "it cannot run on the sharded kernel");
+    if (sharded && !proto.shardable) {
+        panic("%s cannot run on the sharded kernel",
+              proto.displayName.c_str());
     }
 
     // One domain per CMP fixes the decomposition, so results are
@@ -46,7 +48,7 @@ System::System(const SystemConfig &cfg) : _cfg(cfg)
             std::make_unique<Sequencer>(contextForProc(p), p));
     }
 
-    _proto = ProtocolRegistry::instance().create(_cfg.protocol);
+    _proto = proto.make();
     _proto->build(*this);
 }
 

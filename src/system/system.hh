@@ -4,9 +4,9 @@
  * caches, interconnects, protocol controllers) for any registered
  * protocol configuration and runs workloads on it.
  *
- * Protocol construction is pluggable: `System` asks the
- * `ProtocolRegistry` for the `ProtocolBuilder` registered for
- * `cfg.protocol` and hands it the builder-facing API (`adopt()`,
+ * Protocol construction is pluggable: `System` resolves the protocol
+ * name `cfg.protocol` through the `ProtocolRegistry` to a
+ * `ProtocolBuilder` and hands it the builder-facing API (`adopt()`,
  * `sequencer()`, `context()`); it never names a concrete controller
  * type. White-box access for tests goes through the typed lookup
  * `system.controller<TokenL1>(cmp, proc)` which resolves the

@@ -21,7 +21,7 @@ struct Shape
     unsigned procs;  //!< per CMP
 };
 
-using ShapeParam = std::tuple<Shape, Protocol>;
+using ShapeParam = std::tuple<Shape, std::string>;
 
 class MachineShapes : public ::testing::TestWithParam<ShapeParam>
 {};

@@ -13,7 +13,7 @@ namespace tokencmp::test {
 namespace {
 
 SystemConfig
-dirCfg(Protocol p = Protocol::DirectoryCMP)
+dirCfg(const std::string &p = Protocol::DirectoryCMP)
 {
     SystemConfig cfg;
     cfg.protocol = p;
@@ -186,6 +186,17 @@ TEST(PerfectL2, AtomicCounterIsLinearizable)
     auto res = sys.run(wl);
     ASSERT_TRUE(res.completed);
     EXPECT_EQ(runLoad(sys, 0, 0xb000), 160u);
+}
+
+TEST(PerfectL2, ShardedKernelIsRefused)
+{
+    // The registry entry says the magic L2 cannot run sharded; System
+    // and the sweep grid both read that one property.
+    SystemConfig cfg;
+    cfg.protocol = Protocol::PerfectL2;
+    cfg.shards = 2;
+    EXPECT_DEATH(System sys(cfg),
+                 "PerfectL2 cannot run on the sharded kernel");
 }
 
 } // namespace tokencmp::test

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the pluggable protocol registry and the parallel
- * ExperimentRunner: registry coverage of all nine Protocol values,
+ * ExperimentRunner: registry coverage of the paper's protocol names,
  * typed controller lookup equivalence with the old white-box
  * accessors, bit-identical parallel vs serial execution, progress
  * callbacks, scheduler-backend equivalence, and JSON export.
@@ -34,10 +34,36 @@ smallLockingFactory()
 
 TEST(ProtocolRegistry, CoversAllNineProtocols)
 {
+    // Every paper configuration and every performance policy is a
+    // protocol name, and nothing else is.
     const ProtocolRegistry &reg = ProtocolRegistry::instance();
-    for (Protocol p : allProtocols())
-        EXPECT_TRUE(reg.known(p)) << protocolName(p);
-    EXPECT_EQ(reg.registered().size(), allProtocols().size());
+    for (const std::string &p : kPaperProtocols)
+        EXPECT_TRUE(reg.known(p)) << p;
+    const std::vector<std::string> names = reg.names();
+    const std::vector<std::string> policies =
+        PolicyRegistry::instance().names();
+    for (const std::string &p : policies)
+        EXPECT_TRUE(reg.known(p)) << p;
+    // The four non-token families add their own names.
+    EXPECT_EQ(names.size(), policies.size() + 4);
+    EXPECT_FALSE(reg.known("no-such-protocol"));
+}
+
+TEST(ProtocolRegistry, NamesStayUnambiguous)
+{
+    EXPECT_DEATH(ProtocolRegistry::instance().registerFamily(
+                     Protocol::DirectoryCMP, ProtocolEntry{}),
+                 "registered twice");
+    // A policy registered under a family's name could select either.
+    EXPECT_DEATH(
+        {
+            PolicyRegistry::instance().registerPolicy(
+                Protocol::HierCMP, [](const PolicyEnv &env) {
+                    return makeTable1Policy(token_variants::dst1(), env);
+                });
+            ProtocolRegistry::instance().resolve(Protocol::HierCMP);
+        },
+        "both a family and a performance policy");
 }
 
 TEST(ProtocolRegistry, TypedLookupMatchesOldAccessors)
@@ -45,14 +71,13 @@ TEST(ProtocolRegistry, TypedLookupMatchesOldAccessors)
     // The registry-built System must expose exactly the controllers
     // the old buildToken/buildDirectory/buildPerfect switches and
     // white-box accessors did, at the same topological positions.
-    for (Protocol p : allProtocols()) {
+    for (const std::string &p : kPaperProtocols) {
         SystemConfig cfg;
         cfg.protocol = p;
         System sys(cfg);
         const Topology &t = sys.context().topo;
-        SCOPED_TRACE(protocolName(p));
+        SCOPED_TRACE(p);
 
-        const bool token = isToken(p);
         const bool dir = p == Protocol::DirectoryCMP ||
                          p == Protocol::DirectoryCMPZero;
         const bool perfect = p == Protocol::PerfectL2;
@@ -60,6 +85,7 @@ TEST(ProtocolRegistry, TypedLookupMatchesOldAccessors)
         // DirMem subclass, so those typed lookups resolve for hier
         // too; the shim is neither a TokenL2 nor a DirL2.
         const bool hier = p == Protocol::HierCMP;
+        const bool token = !dir && !perfect && !hier;
 
         for (unsigned c = 0; c < t.numCmps; ++c) {
             for (unsigned pr = 0; pr < t.procsPerCmp; ++pr) {

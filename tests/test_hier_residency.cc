@@ -20,35 +20,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "hier/hier_shim.hh"
-#include "system/knobs.hh"
-#include "system/system.hh"
+#include "test_util.hh"
 #include "workload/synthetic.hh"
 
 namespace tokencmp {
 namespace {
 
-/** perfbench's statDigest: outcome plus every non-`kernel.*` stat. */
-std::string
-statDigest(const System::RunResult &r)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "completed=%d;violations=%llu;"
-                  "runtime=%llu;", int(r.completed),
-                  (unsigned long long)r.violations,
-                  (unsigned long long)r.runtime);
-    std::string key = buf;
-    for (const auto &[k, v] : r.stats.all()) {
-        if (k.rfind("kernel.", 0) == 0)
-            continue;
-        std::snprintf(buf, sizeof(buf), "=%.17g;", v);
-        key += k + buf;
-    }
-    return hashHex(stableHash64(key));
-}
+using test::statDigest;
 
 struct HierRun
 {

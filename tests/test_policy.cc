@@ -1,11 +1,11 @@
 /**
  * @file
  * PerformancePolicy API tests: registry behavior (names, duplicate
- * registration, unknown-name diagnostics), the fixed-seed equivalence
- * of every Table 1 Protocol enum row with its named-policy
- * counterpart, the Experiment policy-sweep axis, and the adaptive
- * destination-set policies (completion, token conservation, policy
- * statistics, determinism — serial and across sharded worker counts).
+ * registration, unknown-name diagnostics), protocol selection goldens
+ * (each name's figure label and fixed-seed run digest), the
+ * Experiment protocol-sweep axis, and the adaptive destination-set
+ * policies (completion, token conservation, policy statistics,
+ * determinism — serial and across sharded worker counts).
  */
 
 #include <gtest/gtest.h>
@@ -19,16 +19,6 @@
 namespace tokencmp::test {
 
 namespace {
-
-/** The six Table 1 rows: enum value and PolicyRegistry name. */
-const std::vector<std::pair<Protocol, const char *>> kTable1Rows = {
-    {Protocol::TokenArb0, "arb0"},
-    {Protocol::TokenDst0, "dst0"},
-    {Protocol::TokenDst4, "dst4"},
-    {Protocol::TokenDst1, "dst1"},
-    {Protocol::TokenDst1Pred, "dst1-pred"},
-    {Protocol::TokenDst1Filt, "dst1-filt"},
-};
 
 SyntheticParams
 smallWorkload()
@@ -89,62 +79,64 @@ TEST(PolicyRegistry, DuplicateRegistrationDies)
         "registered twice");
 }
 
-TEST(PolicyRegistry, UnknownNameListsRegisteredPolicies)
+TEST(PolicyRegistry, UnknownNameListsRegisteredProtocols)
 {
     SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    cfg.policyName = "no-such-policy";
-    // The diagnostic must name the typo and list what *is* registered.
-    EXPECT_DEATH(System sys(cfg),
-                 "no-such-policy.*arb0.*bw-adapt.*dst1-pred");
+    cfg.protocol = "no-such-policy";
+    // The diagnostic must name the typo and list every registered
+    // protocol name: the families and every policy.
+    std::string listing = "unknown protocol 'no-such-policy'";
+    for (const std::string &name : ProtocolRegistry::instance().names())
+        listing += ".*" + name;
+    EXPECT_DEATH(System sys(cfg), listing);
+    EXPECT_DEATH(cfg.finalize(), listing);
 }
 
-TEST(PolicyRegistry, NamedPolicyRequiresTokenProtocol)
+TEST(ProtocolSelection, NamesMatchGoldenLabelsAndRuns)
 {
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
-    cfg.policyName = "dst1";
-    EXPECT_DEATH(cfg.finalize(), "requires a TokenCMP protocol");
-}
-
-TEST(PolicyRegistry, PolicyNameAssignedAfterFinalizeStillValidated)
-{
-    // Assigning policyName re-arms finalize(); a finalized directory
-    // config must not slip an (ignored) policy selection through.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::DirectoryCMP;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.finalized());
-    cfg.policyName = "bw-adapt";
-    EXPECT_FALSE(cfg.finalized());
-    EXPECT_DEATH(cfg.finalize(), "requires a TokenCMP protocol");
-}
-
-TEST(PolicyEquivalence, EnumRowsMatchNamedPolicies)
-{
-    // The Protocol enum is a thin alias layer: for a fixed seed, each
-    // Table 1 enum row and its named PolicyRegistry counterpart must
-    // be the *same* execution, bit for bit.
-    for (const auto &[proto, name] : kTable1Rows) {
-        SCOPED_TRACE(name);
-
-        SystemConfig via_enum;
-        via_enum.protocol = proto;
-
-        SystemConfig via_name;
-        via_name.protocol = Protocol::TokenDst1;  // row comes from name
-        via_name.policyName = name;
-
-        expectIdenticalRuns(runOnce(via_enum), runOnce(via_name));
-        EXPECT_EQ(via_enum.displayName(),
-                  "TokenCMP-" + std::string(name));
+    // One name selects a whole protocol. Each row pins the name's
+    // figure label and the stat digest of a short fixed-seed run,
+    // recorded while a run was still selected by an enum value plus
+    // an optional policy name: the name must select the same run.
+    struct Golden
+    {
+        const char *name;
+        const char *label;
+        const char *digest;
+    };
+    const Golden goldens[] = {
+        {Protocol::DirectoryCMP, "DirectoryCMP", "91334a712512bbcd"},
+        {Protocol::DirectoryCMPZero, "DirectoryCMP-zero",
+         "b48610985779bd00"},
+        {Protocol::TokenArb0, "TokenCMP-arb0", "247c29c6623d6a2b"},
+        {Protocol::TokenDst0, "TokenCMP-dst0", "968b4ea1ea0b0c67"},
+        {Protocol::TokenDst4, "TokenCMP-dst4", "2aa456ea12821f3c"},
+        {Protocol::TokenDst1, "TokenCMP-dst1", "914b4d34d888186d"},
+        {Protocol::TokenDst1Pred, "TokenCMP-dst1-pred",
+         "a4329a4dcc64d8f8"},
+        {Protocol::TokenDst1Filt, "TokenCMP-dst1-filt",
+         "629e22b45d10d460"},
+        {Protocol::PerfectL2, "PerfectL2", "c1d1622b6f8e2baa"},
+        {Protocol::HierCMP, "HierCMP", "bea1d010a9305627"},
+        {"dst-owner", "TokenCMP-dst-owner", "72252d34b123c4d6"},
+        {"dst-group", "TokenCMP-dst-group", "bfe90908f14f9c76"},
+        {"bw-adapt", "TokenCMP-bw-adapt", "72c41cf4fa80f6b3"},
+    };
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(g.name);
+        EXPECT_EQ(protocolName(g.name), g.label);
+        SystemConfig cfg;
+        cfg.protocol = g.name;
+        EXPECT_EQ(statDigest(runOnce(cfg)), g.digest);
     }
 }
 
 TEST(PolicySweep, RunSweepLabelsOneResultPerPolicy)
 {
+    // The axis takes any protocol name and replaces the base config's
+    // protocol; parallel seeds resolve the names concurrently.
     SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
+    cfg.protocol = Protocol::DirectoryCMP;
     SyntheticParams wl = smallWorkload();
     const std::vector<ExperimentResult> results =
         Experiment::of(cfg)
@@ -152,13 +144,15 @@ TEST(PolicySweep, RunSweepLabelsOneResultPerPolicy)
                 return std::make_unique<SyntheticWorkload>(wl);
             })
             .seeds(2)
-            .policies({"dst1", "dst-owner"})
+            .parallelism(2)
+            .policies({"dst1", "dst-owner", "hier"})
             .runSweep();
-    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(results[0].protocol, "TokenCMP-dst1");
     EXPECT_EQ(results[1].protocol, "TokenCMP-dst-owner");
-    EXPECT_TRUE(results[0].allCompleted);
-    EXPECT_TRUE(results[1].allCompleted);
+    EXPECT_EQ(results[2].protocol, "HierCMP");
+    for (const ExperimentResult &r : results)
+        EXPECT_TRUE(r.allCompleted) << r.protocol;
     // The narrowing policy must not inflate runtime pathologically
     // (loose 2x bound; the traffic benefit is gated in bench CI).
     EXPECT_LT(results[1].runtime.mean(),
@@ -183,8 +177,7 @@ TEST(AdaptivePolicies, CompleteQuiesceAndExportStats)
     for (const char *name : {"dst-owner", "bw-adapt"}) {
         SCOPED_TRACE(name);
         SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.policyName = name;
+        cfg.protocol = name;
         // runOnce runs verifyQuiescent(fatal) internally on
         // completion, so token conservation is checked too.
         const System::RunResult r = runOnce(cfg);
@@ -221,7 +214,7 @@ TEST(AdaptivePolicies, PersistentActivationsTrainThePredictor)
     env.topo = topo;
     env.params = &sys.config().token;
     env.ctx = &sys.context();
-    auto pol = PolicyRegistry::instance().create("dst-owner", env);
+    auto pol = PolicyRegistry::instance().factory("dst-owner")(env);
 
     Addr addr = 0;
     while (topo.homeCmpOf(addr) != 3)
@@ -263,8 +256,7 @@ TEST(AdaptivePolicies, FixedSeedRunsReproduce)
     for (const char *name : {"dst-owner", "bw-adapt"}) {
         SCOPED_TRACE(name);
         SystemConfig cfg;
-        cfg.protocol = Protocol::TokenDst1;
-        cfg.policyName = name;
+        cfg.protocol = name;
         expectIdenticalRuns(runOnce(cfg), runOnce(cfg));
     }
 }
@@ -281,8 +273,7 @@ TEST(AdaptivePolicies, ShardedRunsAreWorkerCountInvariant)
         unsigned i = 0;
         for (unsigned workers : {1u, 4u}) {
             SystemConfig cfg;
-            cfg.protocol = Protocol::TokenDst1;
-            cfg.policyName = name;
+            cfg.protocol = name;
             cfg.shards = workers;
             runs[i++] = runOnce(cfg);
         }

@@ -100,7 +100,7 @@ class SoupWorkload : public Workload
     std::uint64_t _incs = 0;
 };
 
-using Param = std::tuple<Protocol, unsigned>;
+using Param = std::tuple<std::string, unsigned>;
 
 class ProtocolSoup : public ::testing::TestWithParam<Param>
 {};
@@ -130,7 +130,7 @@ TEST_P(ProtocolSoup, RandomOpsPreserveCoherence)
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ProtocolSoup,
-    ::testing::Combine(::testing::ValuesIn(allProtocols()),
+    ::testing::Combine(::testing::ValuesIn(kPaperProtocols),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u)),
     [](const ::testing::TestParamInfo<Param> &info) {
         std::string n = protocolName(std::get<0>(info.param));

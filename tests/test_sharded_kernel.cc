@@ -577,8 +577,8 @@ struct RunSummary
 };
 
 RunSummary
-runSystem(Protocol proto, unsigned shards, SchedulerKind sched,
-          std::uint64_t seed)
+runSystem(const std::string &proto, unsigned shards,
+          SchedulerKind sched, std::uint64_t seed)
 {
     SystemConfig cfg;
     cfg.protocol = proto;
@@ -617,12 +617,12 @@ expectSameRun(const RunSummary &a, const RunSummary &b,
 }
 
 class ShardSweep
-    : public ::testing::TestWithParam<std::tuple<Protocol, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
 {};
 
 TEST_P(ShardSweep, StatsBitIdenticalAcrossWorkerCounts)
 {
-    const Protocol proto = std::get<0>(GetParam());
+    const std::string proto = std::get<0>(GetParam());
     const unsigned shards = std::get<1>(GetParam());
 
     // Worker-count invariance: shards=1 is the canonical sharded
@@ -641,7 +641,7 @@ TEST_P(ShardSweep, StatsBitIdenticalAcrossWorkerCounts)
 
 TEST_P(ShardSweep, ReferenceHeapOracleMatchesWheel)
 {
-    const Protocol proto = std::get<0>(GetParam());
+    const std::string proto = std::get<0>(GetParam());
     const unsigned shards = std::get<1>(GetParam());
 
     // The ReferenceHeap ordering oracle kept from the kernel overhaul:

@@ -248,7 +248,6 @@ TEST(ParamGrid, ConfigForAppliesAxes)
     ASSERT_NE(smallpred, nullptr);
     SystemConfig cfg = g.configFor(*smallpred);
     EXPECT_EQ(cfg.protocol, Protocol::TokenDst1);
-    EXPECT_EQ(cfg.policyName, "dst1");
     EXPECT_EQ(cfg.workloadName, "zipf");
     EXPECT_EQ(cfg.seed, 1u);
     EXPECT_EQ(findKnob("token.cmpPredEntries")->get(cfg), 64.0);

@@ -1,8 +1,8 @@
 /**
  * @file
- * System-level unit tests: configuration finalization, protocol
- * naming, construction of all nine targets, statistics harvesting,
- * and the multi-seed experiment runner.
+ * System-level unit tests: protocol naming, construction of all ten
+ * paper targets, statistics harvesting, and the multi-seed
+ * experiment runner.
  */
 
 #include <gtest/gtest.h>
@@ -13,92 +13,26 @@
 
 namespace tokencmp::test {
 
-TEST(SystemConfig, FinalizeAppliesTable1Policies)
-{
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst4;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 4u);
-    EXPECT_EQ(cfg.token.policy.activation,
-              PersistentActivation::Distributed);
-
-    cfg.protocol = Protocol::TokenArb0;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 0u);
-    EXPECT_EQ(cfg.token.policy.activation,
-              PersistentActivation::Arbiter);
-
-    cfg.protocol = Protocol::TokenDst1Pred;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.token.policy.usePredictor);
-    EXPECT_FALSE(cfg.token.policy.useFilter);
-
-    cfg.protocol = Protocol::TokenDst1Filt;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.token.policy.useFilter);
-
-    cfg.protocol = Protocol::DirectoryCMPZero;
-    cfg.finalize();
-    EXPECT_EQ(cfg.dir.dirLatency, 0u);
-
-    cfg.protocol = Protocol::DirectoryCMP;
-    cfg.finalize();
-    EXPECT_EQ(cfg.dir.dirLatency, ns(80));
-}
-
-TEST(SystemConfig, FinalizeIsIdempotent)
-{
-    // finalize(), hand-tune a knob, then finalize() again (as
-    // System's constructor does defensively): the preset must not be
-    // re-applied over the tuning.
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    cfg.finalize();
-    EXPECT_TRUE(cfg.finalized());
-    cfg.token.policy.maxTransients = 3;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 3u);
-
-    // Changing the protocol re-arms finalization.
-    cfg.protocol = Protocol::TokenDst4;
-    EXPECT_FALSE(cfg.finalized());
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 4u);
-}
-
-TEST(SystemConfig, FinalizeIdempotentWithCustomPolicy)
-{
-    SystemConfig cfg;
-    cfg.protocol = Protocol::TokenDst1;
-    cfg.customPolicy = true;
-    cfg.token.policy = token_variants::dst1();
-    cfg.token.policy.maxTransients = 2;
-    cfg.finalize();
-    EXPECT_EQ(cfg.token.policy.maxTransients, 2u);
-    cfg.finalize();  // System's defensive call must not double-apply
-    EXPECT_EQ(cfg.token.policy.maxTransients, 2u);
-}
-
 TEST(SystemConfig, ProtocolNamesMatchPaper)
 {
-    EXPECT_STREQ(protocolName(Protocol::TokenDst1), "TokenCMP-dst1");
-    EXPECT_STREQ(protocolName(Protocol::TokenDst1Filt),
-                 "TokenCMP-dst1-filt");
-    EXPECT_STREQ(protocolName(Protocol::DirectoryCMPZero),
-                 "DirectoryCMP-zero");
-    EXPECT_STREQ(protocolName(Protocol::HierCMP), "HierCMP");
-    EXPECT_EQ(allProtocols().size(), 10u);
-    EXPECT_TRUE(isToken(Protocol::TokenArb0));
-    EXPECT_FALSE(isToken(Protocol::PerfectL2));
-    EXPECT_FALSE(isToken(Protocol::DirectoryCMP));
-    // Hier has a token substrate inside each CMP but is not one of the
-    // flat token protocols (no system-wide token space or policy row).
-    EXPECT_FALSE(isToken(Protocol::HierCMP));
+    EXPECT_EQ(protocolName(Protocol::TokenDst1), "TokenCMP-dst1");
+    EXPECT_EQ(protocolName(Protocol::TokenDst1Filt),
+              "TokenCMP-dst1-filt");
+    EXPECT_EQ(protocolName(Protocol::DirectoryCMPZero),
+              "DirectoryCMP-zero");
+    EXPECT_EQ(protocolName(Protocol::HierCMP), "HierCMP");
+    // PerfectL2's magic L2 bypasses the network; every other paper
+    // configuration runs on the sharded kernel too.
+    for (const std::string &name : kPaperProtocols) {
+        EXPECT_EQ(ProtocolRegistry::instance().resolve(name).shardable,
+                  name != Protocol::PerfectL2)
+            << name;
+    }
 }
 
 TEST(System, BuildsAllNineProtocols)
 {
-    for (Protocol p : allProtocols()) {
+    for (const std::string &p : kPaperProtocols) {
         SystemConfig cfg;
         cfg.protocol = p;
         System sys(cfg);

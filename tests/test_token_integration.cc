@@ -15,7 +15,7 @@ namespace tokencmp::test {
 namespace {
 
 SystemConfig
-tokenCfg(Protocol p = Protocol::TokenDst1)
+tokenCfg(const std::string &p = Protocol::TokenDst1)
 {
     SystemConfig cfg;
     cfg.protocol = p;
@@ -139,7 +139,7 @@ TEST(TokenIntegration, AtomicCounterIsLinearizable)
     EXPECT_EQ(runLoad(sys, 3, 0x7000), 16u * 10u);
 }
 
-class TokenVariants : public ::testing::TestWithParam<Protocol>
+class TokenVariants : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(TokenVariants, AtomicCounterLinearizableUnderContention)
@@ -174,7 +174,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Protocol::TokenArb0, Protocol::TokenDst0,
                       Protocol::TokenDst4, Protocol::TokenDst1,
                       Protocol::TokenDst1Pred, Protocol::TokenDst1Filt),
-    [](const ::testing::TestParamInfo<Protocol> &info) {
+    [](const ::testing::TestParamInfo<std::string> &info) {
         std::string n = protocolName(info.param);
         for (char &c : n) {
             if (c == '-')

@@ -19,7 +19,7 @@ namespace tokencmp::test {
 namespace {
 
 SystemConfig
-tokenCfg(Protocol p = Protocol::TokenDst1)
+tokenCfg(const std::string &p = Protocol::TokenDst1)
 {
     SystemConfig cfg;
     cfg.protocol = p;
@@ -273,8 +273,8 @@ class RacingAtomicWorkload : public Workload
 
 /** Run the race on `shards` workers; return the gathered stats. */
 StatSet
-runPersistentRace(Protocol proto, unsigned shards, System **sys_out,
-                  std::unique_ptr<System> &keeper)
+runPersistentRace(const std::string &proto, unsigned shards,
+                  System **sys_out, std::unique_ptr<System> &keeper)
 {
     SystemConfig cfg;
     cfg.protocol = proto;

@@ -1,17 +1,22 @@
 /**
  * @file
- * Shared helpers for the test suite: tiny inline workloads and
- * system-construction shortcuts.
+ * Shared helpers for the test suite: tiny inline workloads,
+ * system-construction shortcuts, the paper's protocol names and the
+ * run digest the goldens pin.
  */
 
 #ifndef TOKENCMP_TESTS_TEST_UTIL_HH
 #define TOKENCMP_TESTS_TEST_UTIL_HH
 
 #include <atomic>
+#include <cstdio>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "system/experiment.hh"
+#include "system/knobs.hh"
 #include "system/system.hh"
 #include "workload/workload.hh"
 
@@ -111,6 +116,33 @@ runAtomicInc(System &sys, unsigned proc, Addr a)
     return runOp(sys, proc, [a](Sequencer &s, auto cb) {
         s.atomic(a, [](std::uint64_t v) { return v + 1; }, cb);
     });
+}
+
+/** The ten configurations the paper evaluates, by protocol name. */
+inline const std::vector<std::string> kPaperProtocols = {
+    Protocol::DirectoryCMP, Protocol::DirectoryCMPZero,
+    Protocol::TokenArb0,    Protocol::TokenDst0,
+    Protocol::TokenDst4,    Protocol::TokenDst1,
+    Protocol::TokenDst1Pred, Protocol::TokenDst1Filt,
+    Protocol::PerfectL2,    Protocol::HierCMP};
+
+/** perfbench's statDigest: outcome plus every non-`kernel.*` stat. */
+inline std::string
+statDigest(const System::RunResult &r)
+{
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "completed=%d;violations=%llu;"
+                  "runtime=%llu;", int(r.completed),
+                  (unsigned long long)r.violations,
+                  (unsigned long long)r.runtime);
+    std::string key = buf;
+    for (const auto &[k, v] : r.stats.all()) {
+        if (k.rfind("kernel.", 0) == 0)
+            continue;
+        std::snprintf(buf, sizeof(buf), "=%.17g;", v);
+        key += k + buf;
+    }
+    return hashHex(stableHash64(key));
 }
 
 /** Drain all in-flight protocol activity. */
