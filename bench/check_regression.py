@@ -1,43 +1,31 @@
 #!/usr/bin/env python3
 """Bench-regression gate for the Release CI leg.
 
-Compares the freshly produced BENCH_<name>.json records against the
+Compares the freshly produced BENCH_<name>.json records of the
+wall-clock benches (kernel_throughput, sharded_throughput) against the
 committed baselines in bench/baselines/<name>.json and fails (exit 1)
-when any events/sec cell drops by more than the tolerance (default
+when any "eventsPerSec" cell drops by more than the tolerance (default
 15%, override with --tolerance or TOKENCMP_BENCH_TOLERANCE).
 
-Three kinds of cells gate:
-  - "eventsPerSec" (throughput, higher is better): fails when the
-    current value drops more than the tolerance below baseline.
-  - "msgsPerMiss" (normalized traffic, lower is better): fails when
-    the current value rises more than the tolerance above baseline.
-    Unlike wall-clock throughput, these are simulation counts over
-    fixed seeds, so they are exactly reproducible across runner
-    classes — drift means the protocol's traffic actually changed.
-  - "runtimeNs" (simulated runtime, lower is better): same
-    deterministic contract as msgsPerMiss; gates the fig6 macro
-    rows, where the paper claim *is* the runtime.
 "ratio" cells (speedups) are reported informationally but do not
 gate, since their pass/fail thresholds are enforced by the benches
 themselves. A label present in the baseline but missing from the
 current record is a failure (the bench silently shrank); new labels
-are reported and ignored. For benches named in --allow-missing the
-missing-label case instead warns and skips — the workload sweep's
-cell set is expected to grow and shrink as workloads and policies
-are added, and a stale baseline row must not brick the gate.
+are reported and ignored.
 
 A baseline whose meta.hwThreads exceeds this machine's core count
-warns and skips its wall-clock (eventsPerSec) cells instead of
-gating — a laptop or container cannot hold a many-core runner's
-parallel throughput. msgsPerMiss cells still gate: they are
-simulation counts, identical on any runner.
+warns and skips its eventsPerSec cells instead of gating — a laptop
+or container cannot hold a many-core runner's parallel throughput.
 
 --exact NAME... is the strict mode for benches whose records are pure
 simulation counts over fixed seeds (fig6_macro_runtime, fig7_traffic
 and workload_sweep at TOKENCMP_SEEDS=2): the current BENCH_<name>.json
 must equal its baseline apart from the "meta" provenance block, cell
 for cell and field for field. A renamed, added or dropped label fails
-here, as does a drift in either direction, however small.
+here, as does a drift in either direction, however small. These
+benches need no tolerance gate: an exact match implies it.
+
+--sweeps NAME... gates the marginals of a merged sweep report.
 
 A machine-readable diff is written to --out for upload as a CI
 artifact, whether or not the gate trips.
@@ -52,7 +40,7 @@ Usage:
       --baseline-dir bench/baselines --current-dir build \
       --out build/bench_regression_diff.json \
       [--tolerance 0.15] \
-      [--benches kernel_throughput sharded_throughput fig7_traffic]
+      [--benches kernel_throughput sharded_throughput]
 
   python3 bench/check_regression.py --benches \
       --exact fig6_macro_runtime fig7_traffic workload_sweep
@@ -76,8 +64,7 @@ def load_record(path):
     return cells, record.get("meta", {})
 
 
-def compare(name, baseline_dir, current_dir, tolerance,
-            allow_missing=False):
+def compare(name, baseline_dir, current_dir, tolerance):
     base_path = os.path.join(baseline_dir, name + ".json")
     cur_path = os.path.join(current_dir, "BENCH_" + name + ".json")
     result = {"bench": name, "cells": [], "failures": [],
@@ -98,9 +85,7 @@ def compare(name, baseline_dir, current_dir, tolerance,
 
     # A baseline recorded on a bigger machine cannot gate wall-clock
     # cells here: parallel benches legitimately lose their speedup
-    # when the worker threads outnumber the cores. Warn and skip the
-    # eventsPerSec cells; msgsPerMiss cells are simulation counts over
-    # fixed seeds and stay armed regardless of the runner class.
+    # when the worker threads outnumber the cores.
     base_hw = base_meta.get("hwThreads", base_meta.get("hw_threads"))
     machine_hw = os.cpu_count()
     hw_short = (base_hw is not None and machine_hw is not None
@@ -111,50 +96,29 @@ def compare(name, baseline_dir, current_dir, tolerance,
             f"threads, this machine has {machine_hw} — wall-clock "
             f"cells skipped")
 
-    # metric key -> (unit, True when higher values are better). Order
-    # matters: a cell carrying several keys gates on the first match,
-    # so fig7 policy rows keep gating on msgs/miss even though they
-    # also record a runtimeNs field.
-    gated_metrics = {"eventsPerSec": ("ev/s", True),
-                     "msgsPerMiss": ("msgs/miss", False),
-                     "runtimeNs": ("ns", False)}
-
     for label, bcell in sorted(base.items()):
         ccell = cur.get(label)
         entry = {"label": label}
-        metric = next((m for m in gated_metrics if m in bcell), None)
-        if metric is not None:
-            unit, higher_is_better = gated_metrics[metric]
-            entry["metric"] = metric
-            if metric == "eventsPerSec" and hw_short:
+        if "eventsPerSec" in bcell:
+            entry["metric"] = "eventsPerSec"
+            if hw_short:
                 entry["verdict"] = "skipped"
-            elif ccell is None or metric not in ccell:
-                msg = (f"{name}/{label}: present in baseline, "
-                       f"missing from current record")
-                if allow_missing:
-                    entry["verdict"] = "skipped"
-                    result["warnings"].append(msg)
-                else:
-                    entry["verdict"] = "missing"
-                    result["failures"].append(msg)
+            elif ccell is None or "eventsPerSec" not in ccell:
+                entry["verdict"] = "missing"
+                result["failures"].append(
+                    f"{name}/{label}: present in baseline, "
+                    f"missing from current record")
             else:
-                b = float(bcell[metric])
-                c = float(ccell[metric])
+                b = float(bcell["eventsPerSec"])
+                c = float(ccell["eventsPerSec"])
                 entry["baseline"] = b
                 entry["current"] = c
                 entry["change"] = (c - b) / b if b else 0.0
-                if higher_is_better:
-                    bad = b > 0 and c < b * (1.0 - tolerance)
-                else:
-                    bad = b > 0 and c > b * (1.0 + tolerance)
-                if bad:
-                    drift = (f"{(1 - c / b) * 100:.1f}% below"
-                             if higher_is_better else
-                             f"{(c / b - 1) * 100:.1f}% above")
+                if b > 0 and c < b * (1.0 - tolerance):
                     entry["verdict"] = "regressed"
                     result["failures"].append(
-                        f"{name}/{label}: {c:.3e} {unit} is "
-                        f"{drift} baseline "
+                        f"{name}/{label}: {c:.3e} ev/s is "
+                        f"{(1 - c / b) * 100:.1f}% below baseline "
                         f"{b:.3e} (tolerance {tolerance * 100:.0f}%)")
                 else:
                     entry["verdict"] = "ok"
@@ -334,19 +298,11 @@ def main():
                     default=float(os.environ.get(
                         "TOKENCMP_BENCH_TOLERANCE", "0.15")),
                     help="allowed fractional drift: events/sec drop "
-                         "or msgs/miss rise (default 0.15)")
+                         "or sweep marginal drift (default 0.15)")
     ap.add_argument("--benches", nargs="*",
-                    default=["kernel_throughput", "sharded_throughput",
-                             "fig6_macro_runtime", "fig7_traffic",
-                             "workload_sweep"],
-                    help="bench records to gate; pass with no names "
-                         "to gate only --sweeps")
-    ap.add_argument("--allow-missing", nargs="*", default=
-                    ["workload_sweep"], metavar="BENCH",
-                    help="benches whose baseline-only labels warn and "
-                         "skip instead of failing (default: "
-                         "workload_sweep, whose cell set grows with "
-                         "the workload registry)")
+                    default=["kernel_throughput", "sharded_throughput"],
+                    help="wall-clock bench records to gate; pass with "
+                         "no names to gate only --sweeps or --exact")
     ap.add_argument("--sweeps", nargs="*", default=[],
                     metavar="SWEEP",
                     help="merged sweep reports to gate: for each NAME "
@@ -363,8 +319,7 @@ def main():
     warnings = []
     for name in args.benches:
         result = compare(name, args.baseline_dir, args.current_dir,
-                         args.tolerance,
-                         allow_missing=name in args.allow_missing)
+                         args.tolerance)
         diff["benches"].append(result)
         failures.extend(result["failures"])
         warnings.extend(result["warnings"])

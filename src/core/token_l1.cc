@@ -158,9 +158,10 @@ void
 TokenL1::mergeResponse(Line *line, const Msg &m)
 {
     TokenSt &st = line->st;
-    st.tokens += m.tokens;
-    if (st.tokens > g.params.totalTokens)
+    const int tokens = st.tokens + m.tokens;
+    if (tokens > g.params.totalTokens)
         panic("line exceeds total tokens at %s", _id.toString().c_str());
+    st.tokens = static_cast<TokenCount>(tokens);
     if (m.owner) {
         st.owner = true;
         st.dirty = m.dirty;
@@ -543,7 +544,8 @@ TokenL1::onTransientReq(const Msg &m)
     // possible to seed the requester's CMP (Section 4).
     if (!st.owner || !st.validData)
         return;
-    const int k = std::min(g.params.cTokens, st.tokens);
+    const TokenCount k =
+        std::min(static_cast<TokenCount>(g.params.cTokens), st.tokens);
     r.tokens = k;
     r.owner = (k == st.tokens);
     r.hasData = true;

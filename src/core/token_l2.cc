@@ -68,9 +68,10 @@ void
 TokenL2::mergeTokens(Line *line, const Msg &m)
 {
     TokenSt &st = line->st;
-    st.tokens += m.tokens;
-    if (st.tokens > g.params.totalTokens)
+    const int tokens = st.tokens + m.tokens;
+    if (tokens > g.params.totalTokens)
         panic("L2 line exceeds total tokens");
+    st.tokens = static_cast<TokenCount>(tokens);
     if (m.owner) {
         st.owner = true;
         st.dirty = m.dirty;
@@ -301,8 +302,10 @@ TokenL2::onExternalRequest(const Msg &m)
         return;
     const bool migratory = g.params.migratory && st.dirty &&
                            st.tokens == total;
-    const int k = migratory ? st.tokens
-                            : std::min(g.params.cTokens, st.tokens);
+    const TokenCount k =
+        migratory ? st.tokens
+                  : std::min(static_cast<TokenCount>(g.params.cTokens),
+                             st.tokens);
     r.tokens = k;
     r.owner = (k == st.tokens);
     r.hasData = true;

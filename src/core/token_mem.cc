@@ -167,7 +167,7 @@ TokenMem::forwardPersistentTokens(Addr addr)
     MemBlock &b = it->second;
 
     TokenSt pseudo;
-    pseudo.tokens = b.tokens;
+    pseudo.tokens = static_cast<TokenCount>(b.tokens);
     pseudo.owner = b.owner;
     pseudo.validData = b.owner;
     const PrForwardPlan plan =

@@ -12,15 +12,27 @@
 #define TOKENCMP_CORE_TOKEN_STATE_HH
 
 #include <cstdint>
+#include <limits>
 
+#include "mem/cache_array.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
 
-/** Token-protocol per-line state. */
+/**
+ * A token count as a cache line stores it. SystemConfig::finalize()
+ * rejects a totalTokens or cTokens above maxTokenCount, so every count
+ * a line can hold fits.
+ */
+using TokenCount = std::int16_t;
+inline constexpr int maxTokenCount = std::numeric_limits<TokenCount>::max();
+
+/** Token-protocol per-line state, widest fields first. */
 struct TokenSt
 {
-    int tokens = 0;           //!< tokens held (0 = no permissions)
+    std::uint64_t value = 0;  //!< functional value
+    Tick holdUntil = 0;       //!< response-delay window end
+    TokenCount tokens = 0;    //!< tokens held (0 = no permissions)
     bool owner = false;       //!< holds the distinguished owner token
     bool validData = false;   //!< value is usable for loads
     bool dirty = false;       //!< value differs from the memory image
@@ -29,8 +41,6 @@ struct TokenSt
      * sharing heuristic; inherited-dirty data does not re-migrate).
      */
     bool locallyModified = false;
-    std::uint64_t value = 0;  //!< functional value
-    Tick holdUntil = 0;       //!< response-delay window end
     /** A token-forwarding recheck is scheduled for the hold window. */
     bool recheckScheduled = false;
 
@@ -42,6 +52,9 @@ struct TokenSt
         return tokens == total_tokens && validData;
     }
 };
+
+static_assert(sizeof(CacheLine<TokenSt>) <= 40,
+              "token cache line outgrew its 40-byte layout");
 
 } // namespace tokencmp
 

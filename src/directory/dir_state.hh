@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "mem/cache_array.hh"
 #include "sim/types.hh"
 
 namespace tokencmp {
@@ -38,27 +39,32 @@ enum class DirState : std::uint8_t {
     Modified,  //!< one chip holds the only (possibly dirty) copy
 };
 
-/** L1 line state. */
+/** L1 line state, widest fields first. */
 struct DirL1St
 {
+    std::uint64_t value = 0;
+    Tick holdUntil = 0;          //!< response-delay window
     L1State state = L1State::I;
     bool dirty = false;
     bool locallyStored = false;  //!< this cache performed the store
-    std::uint64_t value = 0;
-    Tick holdUntil = 0;          //!< response-delay window
 };
 
 /** L2 bank line state: chip rights + intra-CMP directory. */
 struct DirL2St
 {
+    std::uint64_t value = 0;
     ChipState chip = ChipState::I;
     bool l2DataValid = false;  //!< the L2 copy is the on-chip authority
     bool l2Dirty = false;      //!< L2 copy differs from memory
     bool storedHere = false;   //!< some local L1 stored (migratory)
     std::uint8_t sharers = 0;  //!< local L1 slots holding S copies
     std::int8_t ownerSlot = -1;//!< local L1 slot holding M/E, or -1
-    std::uint64_t value = 0;
 };
+
+static_assert(sizeof(CacheLine<DirL1St>) <= 40,
+              "directory L1 line outgrew its 40-byte layout");
+static_assert(sizeof(CacheLine<DirL2St>) <= 32,
+              "directory L2 line outgrew its 32-byte layout");
 
 /** Printable names (for traces and tests). */
 const char *l1StateName(L1State s);

@@ -274,7 +274,7 @@ HierShim::forwardPersistentTokens(Addr addr)
         // Memory-role plan: give everything (chip M may shed the
         // owner token).
         TokenSt pseudo;
-        pseudo.tokens = b.tokens;
+        pseudo.tokens = static_cast<TokenCount>(b.tokens);
         pseudo.owner = b.owner;
         pseudo.validData = b.owner;
         const PrForwardPlan plan =

@@ -1,5 +1,6 @@
 #include "system/config.hh"
 
+#include "core/token_state.hh"
 #include "sim/logging.hh"
 #include "system/protocol_registry.hh"
 
@@ -31,6 +32,16 @@ SystemConfig::finalize() const
                        token.contentionWays);
     checkTableGeometry("CMP-owner predictor", token.cmpPredEntries,
                        token.cmpPredWays);
+    // Cache lines store token counts as TokenCount, so a count that
+    // does not fit would wrap silently inside a line.
+    if (token.totalTokens < 1 || token.totalTokens > maxTokenCount) {
+        fatal("totalTokens %d out of range [1, %d]", token.totalTokens,
+              maxTokenCount);
+    }
+    if (token.cTokens < 1 || token.cTokens > maxTokenCount) {
+        fatal("cTokens %d out of range [1, %d]", token.cTokens,
+              maxTokenCount);
+    }
     if (token.bwBusyUtil < 0.0 || token.bwBusyUtil > 1.0) {
         fatal("bw-adapt busy-utilization threshold %f out of range "
               "[0, 1]", token.bwBusyUtil);

@@ -3,11 +3,13 @@
  * Parameterized configuration sweeps: the protocols must stay correct
  * across machine shapes (CMP count, processors per CMP), token-count
  * choices (T must merely exceed the number of caches able to hold a
- * block), C-token transfer sizes, and response-delay windows.
+ * block, and fit the cache line's token field), C-token transfer sizes,
+ * and response-delay windows.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/token_state.hh"
 #include "test_util.hh"
 #include "workload/locking.hh"
 
@@ -197,5 +199,25 @@ TEST_P(CTokenKnobs, ReadResponseSizeIsPerformanceOnly)
 
 INSTANTIATE_TEST_SUITE_P(CTokens, CTokenKnobs,
                          ::testing::Values(1, 4, 9, 16), intName);
+
+TEST(TokenCountRange, FinalizeRejectsCountsALineCannotHold)
+{
+    SystemConfig cfg;
+    cfg.token.totalTokens = maxTokenCount;
+    cfg.token.cTokens = maxTokenCount;
+    cfg.finalize();
+
+    SystemConfig total = cfg;
+    total.token.totalTokens = maxTokenCount + 1;
+    EXPECT_DEATH(total.finalize(), "totalTokens 32768 out of range");
+    total.token.totalTokens = 0;
+    EXPECT_DEATH(total.finalize(), "totalTokens 0 out of range");
+
+    SystemConfig c = cfg;
+    c.token.cTokens = maxTokenCount + 1;
+    EXPECT_DEATH(c.finalize(), "cTokens 32768 out of range");
+    c.token.cTokens = 0;
+    EXPECT_DEATH(c.finalize(), "cTokens 0 out of range");
+}
 
 } // namespace tokencmp::test
