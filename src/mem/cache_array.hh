@@ -14,20 +14,22 @@
  *    first, and install() assigns `StateT{}` before the state is used.
  *    A state whose default is not all-zero (DirL2St::ownerSlot is -1)
  *    is therefore still correct on a line that was never touched.
- *  - **Lazy pages.** The storage is an anonymous `mmap`, not a
- *    constructor loop: the kernel supplies zeroed pages on first touch,
- *    so an array costs RSS only for the pages a run touches and
- *    building a System no longer writes 24 MB of untouched lines. A
- *    direct mapping, unlike `calloc`, is also lazy for the 96 kB L1
- *    arrays, which `malloc` would carve from (and zero in) its heap.
- *    This is why a line must be a trivially copyable aggregate (an
- *    implicit-lifetime type).
+ *  - **Lazy pages.** The lines and tag words come from `calloc`, not
+ *    from a constructor loop. glibc hands an L2 bank's arrays (about
+ *    1.3 MB) over as fresh mapped pages that the kernel zeroes on first
+ *    touch, so building a System no longer writes 24 MB of untouched
+ *    lines; an L1's smaller arrays come from the heap, zeroed at once,
+ *    which keeps their first-touch faults out of the run (a direct
+ *    `mmap` of every array built faster but ran slower). This is why a
+ *    line must be a trivially copyable aggregate (an implicit-lifetime
+ *    type).
  *  - **Probe tags.** probe() reads a separate per-set array of tag
  *    words, `tag | 1` for a valid way and 0 for an invalid one, so a
- *    4-way lookup reads one 32-byte run instead of four lines. Most
- *    probes miss (an L1 answering a relayed request it does not hold),
- *    and a miss never touches the lines. install() and invalidate()
- *    keep each word equal to its line's `tag` and `valid`.
+ *    4-way lookup reads one 32-byte run instead of four lines. In the
+ *    perfbench workloads 69-88% of probes miss (mostly an L1 answering
+ *    a relayed request it does not hold), and a miss never touches the
+ *    lines. install() and invalidate() keep each word equal to its
+ *    line's `tag` and `valid`.
  *  - **Rank LRU.** Each valid way stores how many valid ways of its set
  *    were used more recently, so the valid ranks of a set are exactly
  *    0..v-1. A use moves the way to 0 and bumps the ways ranked ahead
@@ -43,10 +45,9 @@
 #ifndef TOKENCMP_MEM_CACHE_ARRAY_HH
 #define TOKENCMP_MEM_CACHE_ARRAY_HH
 
-#include <sys/mman.h>
-
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <type_traits>
 
@@ -217,25 +218,22 @@ class CacheArray
     }
 
   private:
-    struct Unmap
+    struct Free
     {
-        std::size_t bytes;
-        void operator()(void *p) const { munmap(p, bytes); }
+        void operator()(void *p) const { std::free(p); }
     };
     template <typename T>
-    using Zeroed = std::unique_ptr<T[], Unmap>;
+    using Zeroed = std::unique_ptr<T[], Free>;
 
-    /** `n` zero-filled elements whose pages the kernel maps lazily. */
+    /** `n` zero-filled elements. */
     template <typename T>
     static Zeroed<T>
     zeroed(std::size_t n)
     {
-        const std::size_t bytes = n * sizeof(T);
-        void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (p == MAP_FAILED)
-            fatal("CacheArray: cannot map %zu bytes", bytes);
-        return Zeroed<T>(static_cast<T *>(p), Unmap{bytes});
+        void *p = std::calloc(n, sizeof(T));
+        if (p == nullptr)
+            fatal("CacheArray: cannot allocate %zu bytes", n * sizeof(T));
+        return Zeroed<T>(static_cast<T *>(p));
     }
 
     std::size_t
